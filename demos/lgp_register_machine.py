@@ -29,7 +29,7 @@ cases = FitnessCaseSet(inputs=np.array([[1.0], [2.0], [3.0]]),
                        targets=np.array([2.0, 6.0, 12.0]))
 
 trace = lgp.execute(prog, cases)
-errors = lgp.trace_errors(trace, cases)
+errors = trace.errors
 for i in range(len(prog)):
     values = ", ".join(f"{v:g}" for v in trace.written[i])
     print(f"after instruction {i + 1}: r[{trace.dests[i]}] = [{values}]"

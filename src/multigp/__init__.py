@@ -6,7 +6,7 @@ single-solution variants, steady-state evolution loops and a benchmark
 harness for success-rate sweeps on four symbolic-regression problems.
 """
 
-from . import cli, core, engine, harness, ifgp, lgp, mep
+from . import core, engine, harness, ifgp, lgp, mep
 from .core import (
     CASES_PER_PROBLEM,
     DIV_EPSILON,
@@ -16,12 +16,10 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    ValueVector,
     make_problem,
     ops_applied,
     read_cases_csv,
     reset_ops,
-    sum_abs_error,
     write_cases_csv,
 )
 from .engine import (
@@ -74,9 +72,7 @@ __all__ = [
     "SweepPoint",
     "SweepSpec",
     "Toolbox",
-    "ValueVector",
     "binary_tournament",
-    "cli",
     "combine_reports",
     "core",
     "emit_csv",
@@ -99,7 +95,6 @@ __all__ = [
     "run_one",
     "run_preset_experiment",
     "run_sweep",
-    "sum_abs_error",
     "variant_pair",
     "write_cases_csv",
 ]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness
-from .core import TARGET_FUNCTIONS, read_cases_csv
+from .core import MODES, TARGET_FUNCTIONS, check_mode, read_cases_csv
+from .engine import TECHNIQUES
 from .harness import (
     PRESET_EXPERIMENTS,
     PARAMS,
@@ -36,9 +37,6 @@ from .harness import (
     write_csv,
     write_run_log,
 )
-
-TECHNIQUES = ("mep", "lgp", "ifgp")
-
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
@@ -96,8 +94,7 @@ class CliConfig:
     csv_path: str | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("multi", "single"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
         for name in ("chromosome_length", "population_size", "runs",
                      "generations", "jobs"):
             if getattr(self, name) < 1:
@@ -181,7 +178,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="one evolution run")
     run_p.add_argument("--technique", choices=TECHNIQUES, default="mep")
     run_p.add_argument("--problem", default="f1")
-    run_p.add_argument("--mode", choices=("multi", "single"), default="multi")
+    run_p.add_argument("--mode", choices=MODES, default="multi")
     run_p.add_argument("--length", dest="chromosome_length", type=int, default=20)
     run_p.add_argument("--pop", dest="population_size", type=int, default=50)
     run_p.add_argument("--seed", type=int, default=1)

@@ -1,12 +1,13 @@
 """Shared vocabulary for the GP encodings: primitive operators with protected
-semantics, regression test problems, fitness aggregation and the deterministic
-random source every stochastic operation draws from.
+semantics, regression test problems, the row evaluator every encoding lowers
+its chromosome to, and the deterministic random source every stochastic
+operation draws from.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,6 +15,9 @@ OPERATORS = ("add", "sub", "mul", "div")
 
 OP_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 SYMBOL_OPS = {s: op for op, s in OP_SYMBOLS.items()}
+
+#: fitness readings: every candidate a chromosome encodes, or one fixed locus
+MODES = ("multi", "single")
 
 #: denominators below this magnitude make division return 1.0 instead
 DIV_EPSILON = 1e-12
@@ -68,6 +72,56 @@ def vector_apply(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return np.where(small, 1.0, a / np.where(small, 1.0, b))
         return a / b
     raise ValueError(f"unknown operator {op!r}")
+
+
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown fitness mode {mode!r} (expected one of {MODES})")
+
+
+@dataclass
+class RowTable:
+    """Outputs of a straight-line program over all fitness cases.
+
+    Row i holds one leaf or one operation.  ``valid[i]`` is False when a
+    non-finite value appeared in the row or in any row it was built from;
+    ``errors[i]`` is the row's sum of absolute errors, +inf where invalid.
+    """
+
+    values: np.ndarray  # (R, n)
+    valid: np.ndarray   # (R,) bool
+    errors: np.ndarray  # (R,)
+
+    def best(self, start: int = 0) -> tuple[float, int]:
+        """Lowest error among rows ``start..`` and its row; ties go to the lowest row."""
+        idx = start + int(np.argmin(self.errors[start:]))
+        return float(self.errors[idx]), idx
+
+
+def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
+    """Run post-order rows ``(op, a, b)`` once over all cases.
+
+    A leaf row (``op is None``) copies ``leaves[a]``; an operation row applies
+    ``op`` to the earlier rows ``a`` and ``b``.  Invalidity propagates from a
+    row to every row built on top of it.
+    """
+    values = np.empty((len(rows), cases.n))
+    with np.errstate(all="ignore"):
+        for i, (op, a, b) in enumerate(rows):
+            values[i] = leaves[a] if op is None else vector_apply(op, values[a], values[b])
+        errors = np.abs(values - cases.targets).sum(axis=1)
+    # a non-finite value makes its row's error non-finite, so finite errors
+    # clear the whole table at once
+    valid = np.isfinite(errors)
+    if not valid.all():
+        valid = np.isfinite(values).all(axis=1)
+        ok = valid.tolist()
+        for i, (op, a, b) in enumerate(rows):
+            if op is not None and not (ok[a] and ok[b]):
+                ok[i] = False
+        valid = np.array(ok)
+        errors[~valid] = np.inf
+    return RowTable(values, valid, errors)
 
 
 @dataclass(frozen=True)
@@ -131,19 +185,6 @@ class FitnessCaseSet:
         return self.inputs.shape[1]
 
 
-@dataclass
-class ValueVector:
-    """Per-case outputs of one candidate expression.
-
-    ``valid`` is False when a non-finite value appeared anywhere in the
-    computation that produced the vector; such vectors are excluded from
-    fitness minimisation (their fitness is +inf).
-    """
-
-    values: np.ndarray
-    valid: bool = True
-
-
 # Closed forms of the four benchmark polynomials, defined on [0, 10].
 def _f1(x):
     return x ** 4 - x ** 3 + x ** 2 - x
@@ -179,15 +220,6 @@ def make_problem(problem_id: str, rng: "RandomSource") -> FitnessCaseSet:
     lo, hi = INPUT_RANGE
     xs = np.array([rng.uniform(lo, hi) for _ in range(CASES_PER_PROBLEM)])
     return FitnessCaseSet(inputs=xs.reshape(-1, 1), targets=TARGET_FUNCTIONS[key](xs))
-
-
-def sum_abs_error(outputs: ValueVector, cases: FitnessCaseSet) -> float:
-    """Sum of absolute deviations from the targets; +inf for invalid vectors."""
-    if outputs.values.shape[0] != cases.n:
-        raise ValueError("output vector length does not match case count")
-    if not outputs.valid:
-        return float("inf")
-    return float(np.abs(outputs.values - cases.targets).sum())
 
 
 def best_of(fitnesses) -> tuple[int, float]:

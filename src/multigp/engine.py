@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import ifgp, lgp, mep
-from .core import FitnessCaseSet, PrimitiveSet, RandomSource
+from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, check_mode  # noqa: F401 (MODES re-exported)
 
 #: a run succeeds when its final best fitness falls below this
 SUCCESS_THRESHOLD = 0.01
 
 TECHNIQUES = ("mep", "lgp", "ifgp")
-MODES = ("multi", "single")
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,7 @@ class EvolutionConfig:
     def validate(self) -> None:
         if self.technique not in TECHNIQUES:
             raise ValueError(f"unknown technique {self.technique!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
         min_length = 2 if self.technique == "ifgp" else 1
         if self.chromosome_length < min_length:
             raise ValueError(f"{self.technique} needs chromosome length >= {min_length}")
@@ -98,8 +96,13 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
         crossover=ifgp.crossover_two_point,
         mutate=lambda c, rng: ifgp.mutate(c, muts, prims, rng),
         evaluate=lambda c: ifgp.fitness(c, cases, prims, mode)[0],
-        describe=lambda c: ifgp.render(ifgp.fitness(c, cases, prims, mode)[1]),
+        describe=lambda c: _describe_infix(c, cases, prims, mode),
     )
+
+
+def _describe_infix(chrom, cases, prims, mode) -> str:
+    _, row = ifgp.fitness(chrom, cases, prims, mode)
+    return ifgp.render(ifgp.decode(chrom, prims).nodes[row])
 
 
 def _describe_program(prog, cases, mode) -> str:

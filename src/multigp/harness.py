@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
-from .core import FitnessCaseSet, RandomSource, TARGET_FUNCTIONS, make_problem
-from .engine import EvolutionConfig, RunResult, run_evolution
-
-PROBLEM_IDS = tuple(TARGET_FUNCTIONS)
+from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, make_problem
+from .engine import TECHNIQUES, EvolutionConfig, RunResult, run_evolution
 
 # label -> (technique, fitness mode); multi-solution label first in each pair
 VARIANTS = {
@@ -66,7 +64,7 @@ class SweepSpec:
     dataset: FitnessCaseSet | None = None
 
     def validate(self) -> None:
-        if self.technique not in {tech for tech, _ in VARIANTS.values()}:
+        if self.technique not in TECHNIQUES:
             raise ValueError(f"unknown technique {self.technique!r}")
         if self.dataset is None and self.problem not in TARGET_FUNCTIONS:
             raise ValueError(f"unknown problem {self.problem!r}")

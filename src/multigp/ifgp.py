@@ -7,8 +7,7 @@ parsed tree is a candidate solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .core import (
     OP_SYMBOLS,
@@ -16,7 +15,8 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    vector_apply,
+    check_mode,
+    evaluate_rows,
 )
 
 _START = "start"
@@ -54,12 +54,25 @@ class Bin:
 
 @dataclass
 class InfixExpression:
+    """A decoded chromosome: its tokens and the post-order rows ``(op, a, b)``
+    of its tree (``op is None`` marks terminal ``a``), root last."""
+
     tokens: tuple[str, ...]
-    root: Var | Bin
+    rows: tuple[tuple, ...]
 
     @property
     def text(self) -> str:
         return "".join(self.tokens)
+
+    @cached_property
+    def root(self) -> Var | Bin:
+        """The parse tree, built on first use; evaluation never needs it."""
+        return _parse(self.tokens)
+
+    @cached_property
+    def nodes(self) -> list[Var | Bin]:
+        """Tree nodes in post-order: node i is row i."""
+        return list(_postorder(self.root))
 
 
 def validate_chromosome(chrom: IfgpChromosome, prims: PrimitiveSet) -> None:
@@ -86,41 +99,76 @@ def _classify(symbol: str) -> str:
     return _VARIABLE
 
 
-def _permitted(prev: str, surplus: int, prims: PrimitiveSet) -> list[str]:
-    """Symbols legal at the current position, in the fixed global order."""
-    if prev in (_START, _OPERATOR, _OPEN):
-        return list(prims.terminals) + ["("]
-    options = [OP_SYMBOLS[f] for f in prims.functions]
-    if surplus > 0:
-        options.append(")")
-    return options
-
-
 def decode(chrom: IfgpChromosome, prims: PrimitiveSet) -> InfixExpression:
     """Translate genes left to right, then repair into a valid expression.
 
     Each gene selects (modulo the number of possibilities) among the symbols
-    the previous symbol permits.  The last gene is never translated: if the
-    raw expression ends in an operator or '(', it names the terminal appended
-    by the repair step; unclosed parentheses are then closed.
+    the previous symbol permits: a terminal or '(' where an operand is due,
+    else an operator or, inside a group, ')'.  The last gene is never
+    translated: if the raw expression ends in an operator or '(', it names
+    the terminal appended by the repair step; unclosed parentheses are then
+    closed.  An operator stack (shunting-yard) turns the tokens into
+    post-order rows in the same pass.
     """
-    validate_chromosome(chrom, prims)
+    genes = chrom.genes
+    if len(genes) < 2 or min(genes) < 0 or max(genes) >= prims.num_symbols:
+        validate_chromosome(chrom, prims)
+    terminals = prims.terminals
+    operators = [OP_SYMBOLS[f] for f in prims.functions]
+    n_terminals, n_operators = len(terminals), len(operators)
     tokens: list[str] = []
-    prev = _START
+    rows: list[tuple] = []
+    pending: list[str] = []   # operators and '(' not yet reduced
+    operands: list[int] = []  # row of each finished operand
     surplus = 0
-    for gene in chrom.genes[:-1]:
-        options = _permitted(prev, surplus, prims)
-        symbol = options[gene % len(options)]
-        tokens.append(symbol)
-        prev = _classify(symbol)
-        if prev == _OPEN:
-            surplus += 1
-        elif prev == _CLOSE:
-            surplus -= 1
-    if prev in (_OPERATOR, _OPEN):
-        tokens.append(prims.terminals[chrom.genes[-1] % len(prims.terminals)])
-    tokens.extend(")" * surplus)
-    return InfixExpression(tuple(tokens), _parse(tokens))
+
+    def terminal(k):
+        tokens.append(terminals[k])
+        operands.append(len(rows))
+        rows.append((None, k, 0))
+
+    def reduce():
+        right = operands.pop()
+        rows.append((SYMBOL_OPS[pending.pop()], operands[-1], right))
+        operands[-1] = len(rows) - 1
+
+    def close():
+        tokens.append(")")
+        while pending[-1] != "(":
+            reduce()
+        pending.pop()
+
+    operand_due = True
+    for gene in genes[:-1]:
+        if operand_due:
+            k = gene % (n_terminals + 1)
+            if k < n_terminals:
+                terminal(k)
+                operand_due = False
+            else:
+                tokens.append("(")
+                pending.append("(")
+                surplus += 1
+        else:
+            k = gene % (n_operators + (surplus > 0))
+            if k < n_operators:
+                symbol = operators[k]
+                precedence = _PRECEDENCE[symbol]
+                while pending and pending[-1] != "(" and _PRECEDENCE[pending[-1]] >= precedence:
+                    reduce()
+                tokens.append(symbol)
+                pending.append(symbol)
+                operand_due = True
+            else:
+                close()
+                surplus -= 1
+    if operand_due:
+        terminal(genes[-1] % n_terminals)
+    for _ in range(surplus):
+        close()
+    while pending:
+        reduce()
+    return InfixExpression(tuple(tokens), tuple(rows))
 
 
 def validate_tokens(tokens, prims: PrimitiveSet) -> None:
@@ -215,7 +263,7 @@ def subexpressions(expr: InfixExpression) -> list[Var | Bin]:
     """Distinct sub-trees in post-order (first occurrence kept)."""
     seen = set()
     out = []
-    for node in _postorder(expr.root):
+    for node in expr.nodes:
         key = canonical(node)
         if key not in seen:
             seen.add(key)
@@ -223,51 +271,24 @@ def subexpressions(expr: InfixExpression) -> list[Var | Bin]:
     return out
 
 
-def _evaluate(root, cases: FitnessCaseSet, prims: PrimitiveSet):
-    """Post-order evaluation, one value vector per node."""
-    column = {name: i for i, name in enumerate(prims.terminals)}
-    results: list[tuple[Var | Bin, np.ndarray, bool]] = []
-
-    def go(node):
-        if isinstance(node, Var):
-            v, ok = cases.inputs[:, column[node.name]], True
-        else:
-            lv, lok = go(node.left)
-            rv, rok = go(node.right)
-            v = vector_apply(SYMBOL_OPS[node.op], lv, rv)
-            ok = lok and rok and bool(np.isfinite(v).all())
-        results.append((node, v, ok))
-        return v, ok
-
-    with np.errstate(all="ignore"):
-        go(root)
-    return results
-
-
 def fitness(
     chrom: IfgpChromosome,
     cases: FitnessCaseSet,
     prims: PrimitiveSet,
     mode: str = "multi",
-) -> tuple[float, Var | Bin]:
-    """Chromosome fitness and the sub-expression that provided it.
+) -> tuple[float, int]:
+    """Chromosome fitness and the post-order row that provided it (the
+    node ``decode(chrom, prims).nodes[row]``).
 
     multi: minimum error over every sub-tree; single: the root expression
-    only (SS-IFGP).  Either way the tree is evaluated exactly once.
+    only (SS-IFGP).  Either way every node is evaluated exactly once.
     """
-    if mode not in ("multi", "single"):
-        raise ValueError(f"unknown fitness mode {mode!r}")
+    check_mode(mode)
     expr = decode(chrom, prims)
-    results = _evaluate(expr.root, cases, prims)
-    stacked = np.stack([v for _, v, _ in results])
-    with np.errstate(all="ignore"):
-        errs = np.abs(stacked - cases.targets).sum(axis=1)
-    valid = np.array([ok for _, _, ok in results])
-    errs = np.where(valid, errs, np.inf)
+    table = evaluate_rows(expr.rows, cases.inputs.T, cases)
     if mode == "single":
-        return float(errs[-1]), results[-1][0]  # post-order ends at the root
-    idx = int(np.argmin(errs))
-    return float(errs[idx]), results[idx][0]
+        return float(table.errors[-1]), len(expr.rows) - 1  # post-order ends at the root
+    return table.best()
 
 
 def crossover_at(p1: IfgpChromosome, p2: IfgpChromosome, cut1: int, cut2: int) -> tuple[IfgpChromosome, IfgpChromosome]:

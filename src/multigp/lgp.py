@@ -16,9 +16,9 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    ValueVector,
-    sum_abs_error,
-    vector_apply,
+    RowTable,
+    check_mode,
+    evaluate_rows,
 )
 
 #: registers added on top of the problem inputs in the benchmark presets
@@ -57,25 +57,30 @@ class LgpProgram:
 
 @dataclass
 class LgpTrace:
-    """One record per executed instruction, in execution order."""
+    """One execution in SSA form: a leaf row per register's initial value and
+    per constant operand, then one row per instruction in program order."""
 
-    written: np.ndarray  # (L, n) value written by each instruction
-    dests: np.ndarray    # (L,) destination register of each instruction
-    valid: np.ndarray    # (L,) bool
+    table: RowTable
+    dests: tuple[int, ...]  # destination register of each instruction
+    output: int             # row holding r[0] once the program has run
 
     @property
-    def records(self) -> list["TraceRecord"]:
-        return [
-            TraceRecord(i, int(self.dests[i]), ValueVector(self.written[i], bool(self.valid[i])))
-            for i in range(len(self.dests))
-        ]
+    def first(self) -> int:
+        """Row of the first instruction."""
+        return len(self.table.errors) - len(self.dests)
 
+    @property
+    def written(self) -> np.ndarray:
+        """(L, n) value written by each instruction."""
+        return self.table.values[self.first:]
 
-@dataclass(frozen=True)
-class TraceRecord:
-    index: int
-    dest: int
-    vector: ValueVector
+    @property
+    def valid(self) -> np.ndarray:
+        return self.table.valid[self.first:]
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.table.errors[self.first:]
 
 
 def validate_program(prog: LgpProgram, prims: PrimitiveSet | None = None) -> None:
@@ -128,44 +133,30 @@ def execute(prog: LgpProgram, cases: FitnessCaseSet) -> LgpTrace:
     """Run the program once over all cases, recording every destination write.
 
     Input registers start from the case inputs, supplementary registers from
-    ``REGISTER_INIT``.  A record is valid only if its value is finite and no
-    non-finite value entered its computation through a tainted register.
+    ``REGISTER_INIT``.  Each operand reads the row that last wrote its
+    register, so a record is valid only if its value is finite and no
+    non-finite value entered its computation through the data flow.
     """
     if prog.num_inputs > cases.num_inputs:
         raise ValueError("program expects more inputs than the case set provides")
-    n = cases.n
-    length = len(prog)
-    regs = np.full((prog.num_registers, n), REGISTER_INIT)
-    regs[: prog.num_inputs] = cases.inputs[:, : prog.num_inputs].T
-    written = np.empty((length, n))
-    dests = np.empty(length, dtype=np.intp)
-    with np.errstate(all="ignore"):
-        for i, ins in enumerate(prog.instructions):
-            a = regs[ins.src1] if isinstance(ins.src1, int) else np.full(n, ins.src1)
-            b = regs[ins.src2] if isinstance(ins.src2, int) else np.full(n, ins.src2)
-            v = vector_apply(ins.op, a, b)
-            written[i] = v
-            regs[ins.dest] = v
-            dests[i] = ins.dest
-    # validity replay: taint lives in registers and follows the data flow
-    finite = np.isfinite(written).all(axis=1)
-    reg_valid = [True] * prog.num_registers
-    valid = np.empty(length, dtype=bool)
-    for i, ins in enumerate(prog.instructions):
-        ok = bool(finite[i])
-        if isinstance(ins.src1, int):
-            ok = ok and reg_valid[ins.src1]
-        if isinstance(ins.src2, int):
-            ok = ok and reg_valid[ins.src2]
-        valid[i] = ok
-        reg_valid[ins.dest] = ok
-    return LgpTrace(written, dests, valid)
-
-
-def trace_errors(trace: LgpTrace, cases: FitnessCaseSet) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        errs = np.abs(trace.written - cases.targets).sum(axis=1)
-    return np.where(trace.valid, errs, np.inf)
+    registers, inputs = prog.num_registers, prog.num_inputs
+    constants = [src for ins in prog.instructions for src in (ins.src1, ins.src2)
+                 if not isinstance(src, int)]
+    leaves = np.empty((registers + len(constants), cases.n))
+    leaves[:inputs] = cases.inputs[:, :inputs].T
+    leaves[inputs:registers] = REGISTER_INIT
+    if constants:
+        leaves[registers:] = np.reshape(constants, (-1, 1))
+    rows = [(None, k, 0) for k in range(len(leaves))]
+    last = list(range(registers))
+    constant_rows = iter(range(registers, len(leaves)))
+    for ins in prog.instructions:
+        a = last[ins.src1] if isinstance(ins.src1, int) else next(constant_rows)
+        b = last[ins.src2] if isinstance(ins.src2, int) else next(constant_rows)
+        last[ins.dest] = len(rows)
+        rows.append((ins.op, a, b))
+    table = evaluate_rows(rows, leaves, cases)
+    return LgpTrace(table, tuple(ins.dest for ins in prog.instructions), last[0])
 
 
 def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi") -> tuple[float, int]:
@@ -175,19 +166,14 @@ def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi") -> tup
     ever wrote r[0], in which case the register still holds the case input).
     multi: minimum error over every destination write in the trace.
     """
-    if mode not in ("multi", "single"):
-        raise ValueError(f"unknown fitness mode {mode!r}")
+    check_mode(mode)
     trace = execute(prog, cases)
-    errs = trace_errors(trace, cases)
+    first = trace.first
     if mode == "single":
-        writes = np.flatnonzero(trace.dests == 0)
-        if len(writes) == 0:
-            initial = ValueVector(cases.inputs[:, 0].copy())
-            return sum_abs_error(initial, cases), INITIAL_R0
-        last = int(writes[-1])
-        return float(errs[last]), last
-    idx = int(np.argmin(errs))
-    return float(errs[idx]), idx
+        row = trace.output
+        return float(trace.table.errors[row]), row - first if row >= first else INITIAL_R0
+    fit, row = trace.table.best(first)
+    return fit, row - first
 
 
 def crossover_with_mask(p1: LgpProgram, p2: LgpProgram, mask) -> tuple[LgpProgram, LgpProgram]:

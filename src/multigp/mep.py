@@ -6,24 +6,24 @@ candidate solution.  Single-solution mode (SEP) reads only the last gene.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .core import (
     OP_SYMBOLS,
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    vector_apply,
+    RowTable,
+    check_mode,
+    evaluate_rows,
 )
 
 #: chance that a freshly sampled gene (past position 0) encodes a function
 P_FUNCTION = 0.5
 
 
-@dataclass(frozen=True)
-class MepGene:
-    """One chromosome position.
+class MepGene(NamedTuple):
+    """One chromosome position, and already a row of the shared evaluator.
 
     ``op is None`` marks a terminal gene, with ``arg1`` holding the terminal
     index.  Function genes store backward positions of both operands, which
@@ -53,19 +53,6 @@ class MepChromosome:
 
     def __len__(self) -> int:
         return len(self.genes)
-
-
-@dataclass
-class MepEvalTable:
-    """Per-gene value vectors from one decoding pass (row i = expression E_i)."""
-
-    values: np.ndarray  # (L, n)
-    valid: np.ndarray   # (L,) bool
-
-    def row(self, i: int):
-        from .core import ValueVector
-
-        return ValueVector(self.values[i], bool(self.valid[i]))
 
 
 def validate_chromosome(chrom: MepChromosome, prims: PrimitiveSet) -> None:
@@ -99,36 +86,14 @@ def random_chromosome(length: int, prims: PrimitiveSet, rng: RandomSource) -> Me
     return MepChromosome(tuple(_random_gene(i, prims, rng) for i in range(length)))
 
 
-def decode(chrom: MepChromosome, cases: FitnessCaseSet) -> MepEvalTable:
+def decode(chrom: MepChromosome, cases: FitnessCaseSet) -> RowTable:
     """Evaluate every encoded expression in a single top-down pass.
 
     Row i holds E_i's outputs over all cases.  A row is valid only if its
     whole dependency cone stayed finite; invalidity propagates to every
     expression built on top of it.
     """
-    length = len(chrom)
-    values = np.empty((length, cases.n))
-    valid = np.empty(length, dtype=bool)
-    with np.errstate(all="ignore"):
-        for i, g in enumerate(chrom.genes):
-            if g.is_terminal:
-                values[i] = cases.inputs[:, g.arg1]
-            else:
-                values[i] = vector_apply(g.op, values[g.arg1], values[g.arg2])
-    finite = np.isfinite(values).all(axis=1)
-    for i, g in enumerate(chrom.genes):
-        if g.is_terminal:
-            valid[i] = True
-        else:
-            valid[i] = finite[i] and valid[g.arg1] and valid[g.arg2]
-    return MepEvalTable(values, valid)
-
-
-def gene_errors(table: MepEvalTable, cases: FitnessCaseSet) -> np.ndarray:
-    """Sum of absolute errors per gene; +inf wherever the row is invalid."""
-    with np.errstate(all="ignore"):
-        errs = np.abs(table.values - cases.targets).sum(axis=1)
-    return np.where(table.valid, errs, np.inf)
+    return evaluate_rows(chrom.genes, cases.inputs.T, cases)
 
 
 def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi") -> tuple[float, int]:
@@ -137,13 +102,11 @@ def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi") ->
     multi: minimum error over all encoded expressions (ties to the lowest
     gene index).  single: the last gene's expression only, as in SEP.
     """
-    if mode not in ("multi", "single"):
-        raise ValueError(f"unknown fitness mode {mode!r}")
-    errs = gene_errors(decode(chrom, cases), cases)
+    check_mode(mode)
+    table = decode(chrom, cases)
     if mode == "single":
-        return float(errs[-1]), len(chrom) - 1
-    idx = int(np.argmin(errs))
-    return float(errs[idx]), idx
+        return float(table.errors[-1]), len(chrom) - 1
+    return table.best()
 
 
 def crossover_with_mask(p1: MepChromosome, p2: MepChromosome, mask) -> tuple[MepChromosome, MepChromosome]:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multigp
 from multigp.cli import main
 from multigp.core import write_cases_csv
 from multigp.harness import ExperimentReport, parse_csv, render_svg
@@ -16,6 +21,16 @@ def echo_of(capsys):
     out = capsys.readouterr().out
     line = next(l for l in out.splitlines() if l.startswith("effective-config "))
     return json.loads(line.removeprefix("effective-config ")), out
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    src = str(Path(multigp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "multigp.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "paper" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # --- run ---

@@ -14,14 +14,13 @@ from multigp.core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    ValueVector,
     best_of,
+    evaluate_rows,
     make_problem,
     ops_applied,
     protected_apply,
     read_cases_csv,
     reset_ops,
-    sum_abs_error,
     vector_apply,
     write_cases_csv,
 )
@@ -168,22 +167,38 @@ def test_make_problem_rejects_unknown_id():
         make_problem("f9", RandomSource(1))
 
 
-def test_sum_abs_error_by_hand():
+def test_evaluate_rows_by_hand():
     cases = make_cases([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
-    out = ValueVector(np.array([1.0, 2.0, 5.0]))
-    # |1-2| + |2-2| + |5-2|
-    assert sum_abs_error(out, cases) == 4.0
+    rows = [(None, 0, 0), ("mul", 0, 0), ("sub", 1, 0)]
+    reset_ops()
+    table = evaluate_rows(rows, cases.inputs.T, cases)
+    assert ops_applied() == 2 * cases.n
+    reset_ops()
+    assert table.values.tolist() == [[1.0, 2.0, 3.0], [1.0, 4.0, 9.0], [0.0, 2.0, 6.0]]
+    assert table.valid.tolist() == [True, True, True]
+    # |1-2| + |2-2| + |3-2|, |1-2| + |4-2| + |9-2|, |0-2| + |2-2| + |6-2|
+    assert table.errors.tolist() == [2.0, 10.0, 6.0]
+    assert table.best() == (2.0, 0)
+    assert table.best(1) == (6.0, 2)
 
 
-def test_sum_abs_error_invalid_vector_is_infinite():
-    cases = make_cases([1.0], [2.0])
-    assert sum_abs_error(ValueVector(np.array([2.0]), valid=False), cases) == math.inf
+def test_evaluate_rows_taints_every_row_built_on_an_invalid_one():
+    cases = make_cases([1e308], [0.0])
+    # row 1 overflows; rows 2 (x / inf = 0) and 3 (0 - x) are finite but
+    # built on row 1
+    rows = [(None, 0, 0), ("mul", 0, 0), ("div", 0, 1), ("sub", 2, 0)]
+    table = evaluate_rows(rows, cases.inputs.T, cases)
+    assert table.valid.tolist() == [True, False, False, False]
+    assert table.values[2, 0] == 0.0 and table.values[3, 0] == -1e308
+    assert table.errors[0] == 1e308
+    assert all(math.isinf(e) for e in table.errors[1:])
 
 
-def test_sum_abs_error_rejects_length_mismatch():
-    cases = make_cases([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sum_abs_error(ValueVector(np.array([1.0])), cases)
+def test_evaluate_rows_validity_follows_values_not_an_overflowing_error():
+    cases = make_cases([1e308], [-1e308])
+    table = evaluate_rows([(None, 0, 0)], cases.inputs.T, cases)
+    assert table.valid.tolist() == [True]
+    assert math.isinf(table.errors[0])
 
 
 def test_best_of_first_minimum_wins():

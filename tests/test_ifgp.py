@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigp import ifgp
-from multigp.core import PrimitiveSet, RandomSource, ops_applied, reset_ops
+from multigp.core import OP_SYMBOLS, SYMBOL_OPS, PrimitiveSet, RandomSource, ops_applied, reset_ops
 from multigp.ifgp import (
     Bin,
     IfgpChromosome,
@@ -128,6 +130,58 @@ def test_earlier_symbols_never_depend_on_later_genes():
         assert decode(c, AB).tokens[:pos] == decode(d, AB).tokens[:pos]
 
 
+def reference_tokens(genes, prims):
+    """The translation rule written out on its own: per gene, the options the
+    previous symbol permits, then the repair step."""
+    tokens, operand_due, surplus = [], True, 0
+    for gene in genes[:-1]:
+        if operand_due:
+            options = list(prims.terminals) + ["("]
+        else:
+            options = [OP_SYMBOLS[f] for f in prims.functions] + [")"] * (surplus > 0)
+        symbol = options[gene % len(options)]
+        tokens.append(symbol)
+        surplus += (symbol == "(") - (symbol == ")")
+        operand_due = symbol == "(" or symbol in SYMBOL_OPS
+    if operand_due:
+        tokens.append(prims.terminals[genes[-1] % len(prims.terminals)])
+    return tuple(tokens) + (")",) * surplus
+
+
+def postorder_rows(root, prims):
+    """(op, a, b) per node of a post-order walk of the tree."""
+    rows = []
+
+    def walk(node):
+        if isinstance(node, Var):
+            rows.append((None, prims.terminals.index(node.name), 0))
+        else:
+            a, b = walk(node.left), walk(node.right)
+            rows.append((SYMBOL_OPS[node.op], a, b))
+        return len(rows) - 1
+
+    walk(root)
+    return tuple(rows)
+
+
+@st.composite
+def prims_and_genes(draw):
+    prims = draw(st.sampled_from([X, AB, PrimitiveSet(("a", "b"), ("sub", "div"))]))
+    genes = draw(st.lists(st.integers(0, prims.num_symbols - 1), min_size=2, max_size=60))
+    return prims, genes
+
+
+@given(prims_and_genes())
+@settings(max_examples=2000, deadline=None)
+def test_lowered_rows_are_the_post_order_of_the_parse(case):
+    prims, genes = case
+    expr = decode(IfgpChromosome(tuple(genes)), prims)
+    assert expr.tokens == reference_tokens(genes, prims)
+    assert expr.rows == postorder_rows(ifgp._parse(expr.tokens), prims)
+    assert len(expr.nodes) == len(expr.rows)
+    assert expr.nodes[-1] is expr.root
+
+
 def test_validate_tokens_rejects_malformed_streams():
     with pytest.raises(ValueError):
         validate_tokens(("a", "b"), AB)
@@ -193,7 +247,8 @@ def test_single_fitness_scores_the_root(five_cases):
     for trial in range(300):
         c = random_chromosome(2 + rng.randint(28), X, rng)
         expr = decode(c, X)
-        got, node = fitness(c, five_cases, X, "single")
+        got, row = fitness(c, five_cases, X, "single")
+        node = expr.nodes[row]
         assert canonical(node) == canonical(expr.root)
         err, ok = 0.0, True
         for k in range(five_cases.n):
@@ -228,7 +283,8 @@ def test_invalid_subtrees_are_excluded_from_the_minimum():
     # x*x overflows only after squaring twice: (x*x)*(x*x) = inf
     c_tokens = decode(chrom(0, 6, 0, 6, 0, 6, 0, 0), X)
     assert c_tokens.text == "x*x*x*x"
-    got, node = fitness(chrom(0, 6, 0, 6, 0, 6, 0, 0), cases, X, "multi")
+    got, row = fitness(chrom(0, 6, 0, 6, 0, 6, 0, 0), cases, X, "multi")
+    node = c_tokens.nodes[row]
     # best valid sub-expression is x itself
     assert got == huge
     assert canonical(node) == "x"

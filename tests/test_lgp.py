@@ -17,7 +17,6 @@ from multigp.lgp import (
     mutate,
     random_program,
     render,
-    trace_errors,
     validate_program,
 )
 
@@ -177,7 +176,7 @@ def test_register_taint_propagates_through_data_flow():
     )
     trace = execute(prog, cases)
     assert list(trace.valid) == [False, False, True]
-    errs = trace_errors(trace, cases)
+    errs = trace.errors
     assert math.isinf(errs[0]) and math.isinf(errs[1])
     assert errs[2] == 2.0
 
@@ -198,7 +197,7 @@ def test_single_mode_reads_last_write_to_r0(five_cases):
         registers=3,
     )
     trace = execute(prog, five_cases)
-    errs = trace_errors(trace, five_cases)
+    errs = trace.errors
     got, idx = fitness(prog, five_cases, "single")
     assert idx == 1
     assert got == errs[1]

@@ -13,7 +13,6 @@ from multigp.mep import (
     decode,
     expression,
     fitness,
-    gene_errors,
     mutate,
     random_chromosome,
     render,
@@ -173,7 +172,7 @@ def test_invalid_rows_taint_everything_built_on_them():
     chrom = chromosome(T(0), F("mul", 0, 0), F("div", 0, 1), F("add", 2, 0))
     table = decode(chrom, cases)
     assert list(table.valid) == [True, False, False, False]
-    errs = gene_errors(table, cases)
+    errs = table.errors
     assert errs[0] == huge
     assert all(math.isinf(e) for e in errs[1:])
 
@@ -195,13 +194,13 @@ def test_multi_fitness_equals_brute_force_min_exactly(five_cases):
         chrom = random_chromosome(1 + rng.randint(16), X, rng)
         got, idx = fitness(chrom, five_cases, "multi")
         assert got == oracle_fitness_multi(chrom, five_cases)
-        errs = gene_errors(decode(chrom, five_cases), five_cases)
+        errs = decode(chrom, five_cases).errors
         assert idx == int(np.argmin(errs))
 
 
 def test_single_fitness_reads_last_gene(five_cases):
     chrom = chromosome(T(0), F("mul", 0, 0), F("add", 1, 0))
-    errs = gene_errors(decode(chrom, five_cases), five_cases)
+    errs = decode(chrom, five_cases).errors
     got, idx = fitness(chrom, five_cases, "single")
     assert got == errs[-1]
     assert idx == len(chrom) - 1
