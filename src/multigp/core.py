@@ -84,7 +84,8 @@ class RowTable:
     """Outputs of a straight-line program over all fitness cases.
 
     Row i holds one leaf or one operation.  ``valid[i]`` is False when a
-    non-finite value appeared in the row or in any row it was built from;
+    non-finite value appeared in an operation row or in any operation row it
+    was built from; leaf rows (inputs, constants) are always valid.
     ``errors[i]`` is the row's sum of absolute errors, +inf where invalid.
     """
 
@@ -117,7 +118,9 @@ def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
         valid = np.isfinite(values).all(axis=1)
         ok = valid.tolist()
         for i, (op, a, b) in enumerate(rows):
-            if op is not None and not (ok[a] and ok[b]):
+            if op is None:
+                ok[i] = True
+            elif not (ok[a] and ok[b]):
                 ok[i] = False
         valid = np.array(ok)
         errors[~valid] = np.inf

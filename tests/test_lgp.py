@@ -181,6 +181,15 @@ def test_register_taint_propagates_through_data_flow():
     assert errs[2] == 2.0
 
 
+def test_constant_operands_never_taint():
+    cases = make_cases([[2.0]], [0.0])
+    prog = program(I(1, "div", 0, math.inf), I(2, "mul", 0, math.inf), registers=3)
+    trace = execute(prog, cases)
+    # x / inf = 0 is finite and valid; x * inf is invalid by its own value
+    assert list(trace.valid) == [True, False]
+    assert fitness(prog, cases, "multi") == (0.0, 0)
+
+
 def test_execute_rejects_missing_inputs():
     cases = make_cases([[1.0]], [1.0])
     with pytest.raises(ValueError):
