@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -225,30 +226,58 @@ def make_problem(problem_id: str, rng: "RandomSource") -> FitnessCaseSet:
     return FitnessCaseSet(inputs=xs.reshape(-1, 1), targets=TARGET_FUNCTIONS[key](xs))
 
 
-def best_of(fitnesses) -> tuple[int, float]:
-    """Index and value of the minimum fitness; ties break to the lowest index."""
-    fitnesses = list(fitnesses)
-    if not fitnesses:
-        raise ValueError("empty fitness list")
-    idx = min(range(len(fitnesses)), key=fitnesses.__getitem__)
-    return idx, fitnesses[idx]
-
-
 _MASK64 = (1 << 64) - 1
+
+#: words produced per refill of a RandomSource's buffer
+BLOCK_WORDS = 256
+
+
+@cache
+def _xoshiro_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Run xoshiro256**'s linear state update from the 256 unit states at once.
+
+    Returns the (256, BLOCK_WORDS) table of ``s1`` at steps
+    0..BLOCK_WORDS-1 and the (256, 4) state BLOCK_WORDS steps on, row i
+    starting from state bit i alone (bit ``64 * w + j`` is bit j of word w).
+    The update is linear over GF(2), so from any state both are the XOR of
+    the rows of its set bits (Blackman & Vigna 2021; Haramoto et al. 2008).
+    """
+    unit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    s = np.zeros((4, 256), dtype=np.uint64)
+    for w in range(4):
+        s[w, 64 * w:64 * (w + 1)] = unit
+    s0, s1, s2, s3 = s
+    table = np.empty((256, BLOCK_WORDS), dtype=np.uint64)
+    for k in range(BLOCK_WORDS):
+        table[:, k] = s1
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+    jump = np.ascontiguousarray(s.T)
+    table.flags.writeable = jump.flags.writeable = False
+    return table, jump
 
 
 class RandomSource:
     """Deterministic xoshiro256** generator, state seeded through splitmix64.
 
     The draw sequence depends only on the 64-bit seed, so runs replay
-    identically on any platform.  Derived draws are defined as:
+    identically on any platform.  Words are produced ``BLOCK_WORDS`` at a time
+    from precomputed GF(2) tables, the same words in the same order as the
+    generator stepped one word at a time.  Every derived draw takes exactly
+    one word through :meth:`next_uint64`:
 
     * ``random()``   -- top 53 bits of the next word, scaled to [0, 1)
     * ``randint(n)`` -- next word modulo ``n``
     * ``uniform(lo, hi)`` -- ``lo + (hi - lo) * random()``
+    * ``coin()``     -- next word below 2**63, which is ``random() < 0.5``
     """
 
-    __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("seed", "_state", "_words")
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -260,21 +289,24 @@ class RandomSource:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             state.append(z ^ (z >> 31))
-        self._s0, self._s1, self._s2, self._s3 = state
+        self._state = np.array(state, dtype=np.uint64)
+        self._words: list[int] = []
+
+    def _refill(self) -> None:
+        table, jump = _xoshiro_tables()
+        bits = np.flatnonzero(np.unpackbits(
+            self._state.astype("<u8", copy=False).view(np.uint8), bitorder="little"))
+        x = np.bitwise_xor.reduce(table[bits], axis=0) * np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        self._state = np.bitwise_xor.reduce(jump[bits], axis=0)
+        self._words = x[::-1].tolist()
 
     def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s1 * 5) & _MASK64
-        result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        try:
+            return self._words.pop()
+        except IndexError:
+            self._refill()
+            return self._words.pop()
 
     def random(self) -> float:
         return (self.next_uint64() >> 11) * 1.1102230246251565e-16  # 2**-53
@@ -289,7 +321,7 @@ class RandomSource:
         return lo + (hi - lo) * self.random()
 
     def coin(self) -> bool:
-        return self.random() < 0.5
+        return self.next_uint64() < 0x8000000000000000
 
     def sample_distinct(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), in draw order (rejection sampling)."""

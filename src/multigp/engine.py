@@ -171,7 +171,7 @@ def evolve_steady_state(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSourc
             child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
             if child_fit < best_fit:
                 best, best_fit = child, child_fit
-            worst = max(range(len(fitnesses)), key=fitnesses.__getitem__)
+            worst = fitnesses.index(max(fitnesses))  # first of tied worst; fitness is never NaN
             if child_fit < fitnesses[worst]:
                 population[worst] = child
                 fitnesses[worst] = child_fit

@@ -61,13 +61,18 @@ class LgpTrace:
     per constant operand, then one row per instruction in program order."""
 
     table: RowTable
-    dests: tuple[int, ...]  # destination register of each instruction
-    output: int             # row holding r[0] once the program has run
+    program: LgpProgram
+    output: int  # row holding r[0] once the program has run
+
+    @property
+    def dests(self) -> tuple[int, ...]:
+        """Destination register of each instruction."""
+        return tuple(ins.dest for ins in self.program.instructions)
 
     @property
     def first(self) -> int:
         """Row of the first instruction."""
-        return len(self.table.errors) - len(self.dests)
+        return len(self.table.errors) - len(self.program)
 
     @property
     def written(self) -> np.ndarray:
@@ -140,23 +145,37 @@ def execute(prog: LgpProgram, cases: FitnessCaseSet) -> LgpTrace:
     if prog.num_inputs > cases.num_inputs:
         raise ValueError("program expects more inputs than the case set provides")
     registers, inputs = prog.num_registers, prog.num_inputs
-    constants = [src for ins in prog.instructions for src in (ins.src1, ins.src2)
-                 if not isinstance(src, int)]
-    leaves = np.empty((registers + len(constants), cases.n))
-    leaves[:inputs] = cases.inputs[:, :inputs].T
-    leaves[inputs:registers] = REGISTER_INIT
-    if constants:
-        leaves[registers:] = np.reshape(constants, (-1, 1))
-    rows = [(None, k, 0) for k in range(len(leaves))]
+    rows = [(None, k, 0) for k in range(registers)]
     last = list(range(registers))
-    constant_rows = iter(range(registers, len(leaves)))
+    constants = []
     for ins in prog.instructions:
-        a = last[ins.src1] if isinstance(ins.src1, int) else next(constant_rows)
-        b = last[ins.src2] if isinstance(ins.src2, int) else next(constant_rows)
+        a, b = ins.src1, ins.src2
+        if isinstance(a, int):
+            a = last[a]
+        else:
+            constants.append(a)
+            a = -len(constants)
+        if isinstance(b, int):
+            b = last[b]
+        else:
+            constants.append(b)
+            b = -len(constants)
         last[ins.dest] = len(rows)
         rows.append((ins.op, a, b))
-    table = evaluate_rows(rows, leaves, cases)
-    return LgpTrace(table, tuple(ins.dest for ins in prog.instructions), last[0])
+    output = last[0]
+    leaves = [*cases.inputs.T[:inputs], *[REGISTER_INIT] * (registers - inputs), *constants]
+    if constants:
+        # constant j was numbered -1 - j; its leaf row goes after the
+        # register file's, ahead of the instruction rows
+        shift = len(constants)
+
+        def moved(k):
+            return registers + ~k if k < 0 else k + shift if k >= registers else k
+
+        rows[registers:] = [(None, k, 0) for k in range(registers, registers + shift)] + [
+            (op, moved(a), moved(b)) for op, a, b in rows[registers:]]
+        output = moved(output)
+    return LgpTrace(evaluate_rows(rows, leaves, cases), prog, output)
 
 
 def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi") -> tuple[float, int]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from multigp.core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
-    best_of,
     evaluate_rows,
     make_problem,
     ops_applied,
@@ -201,18 +201,12 @@ def test_evaluate_rows_validity_follows_values_not_an_overflowing_error():
     assert math.isinf(table.errors[0])
 
 
-def test_best_of_first_minimum_wins():
-    assert best_of([3.0, 1.0, 1.0, 2.0]) == (1, 1.0)
-    assert best_of([math.inf, math.inf]) == (0, math.inf)
-    with pytest.raises(ValueError):
-        best_of([])
-
-
 # --- deterministic random source ---
 
-def _reference_stream(seed, count):
+def _reference_words(seed):
     """Independent re-implementation of the generator used as an oracle:
-    four words of splitmix64 seed the state, outputs follow xoshiro256**."""
+    four words of splitmix64 seed the state, outputs follow xoshiro256**
+    one step at a time."""
     mask = (1 << 64) - 1
     state = []
     s = seed & mask
@@ -226,9 +220,8 @@ def _reference_stream(seed, count):
     def rotl(x, k):
         return ((x << k) | (x >> (64 - k))) & mask
 
-    out = []
-    for _ in range(count):
-        out.append((rotl((state[1] * 5) & mask, 7) * 9) & mask)
+    while True:
+        yield (rotl((state[1] * 5) & mask, 7) * 9) & mask
         t = (state[1] << 17) & mask
         state[2] ^= state[0]
         state[3] ^= state[1]
@@ -236,7 +229,10 @@ def _reference_stream(seed, count):
         state[0] ^= state[3]
         state[2] ^= t
         state[3] = rotl(state[3], 45)
-    return out
+
+
+def _reference_stream(seed, count):
+    return list(itertools.islice(_reference_words(seed), count))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 123456789])
@@ -290,6 +286,73 @@ def test_random_derivations_match_documented_formulas():
     assert rng.random() == (raw[0] >> 11) * 2.0 ** -53
     assert rng.randint(97) == raw[1] % 97
     assert rng.next_uint64() == raw[2]
+
+
+class _ReferenceDraws:
+    """The documented derived-draw formulas over ``_reference_words``."""
+
+    def __init__(self, seed):
+        self.words = _reference_words(seed)
+        self.used = 0
+
+    def next_uint64(self):
+        self.used += 1
+        return next(self.words)
+
+    def random(self):
+        return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def randint(self, n):
+        return self.next_uint64() % n
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.random()
+
+    def coin(self):
+        return self.random() < 0.5
+
+    def sample_distinct(self, n, k):
+        out = []
+        while len(out) < k:
+            v = self.randint(n)
+            if v not in out:
+                out.append(v)
+        return out
+
+
+_DRAWS = st.one_of(
+    st.tuples(st.just("next_uint64")),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("randint"), st.integers(1, 2 ** 64)),
+    st.tuples(st.just("uniform"), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.tuples(st.just("coin")),
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just("sample_distinct"), st.just(n), st.integers(1, n))),
+)
+
+
+@given(
+    seed=st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+    draws=st.lists(_DRAWS, min_size=1, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_stream_derived_draws_match_the_reference(seed, draws):
+    # every draw takes at least one word, so repeating the interleaving
+    # crosses three block boundaries at varying offsets; sample_distinct's
+    # rejection loop takes a varying number of words
+    rng = RandomSource(seed)
+    ref = _ReferenceDraws(seed)
+    while ref.used <= 3 * core.BLOCK_WORDS:
+        for name, *args in draws:
+            assert getattr(rng, name)(*args) == getattr(ref, name)(*args), (name, args)
+    assert rng.next_uint64() == ref.next_uint64()
+
+
+def test_coin_is_the_top_bit_of_the_word_clear():
+    words = _reference_stream(77, 4000)
+    rng = RandomSource(77)
+    for word in words:
+        assert rng.coin() == (word < 2 ** 63) == ((word >> 11) * 2.0 ** -53 < 0.5)
 
 
 # --- dataset files ---

@@ -141,6 +141,40 @@ def test_steady_state_replaces_the_first_occurring_worst():
     assert result.evaluations == 4 + 2 * 2
 
 
+def test_steady_state_replaces_the_first_of_tied_infinite_worsts():
+    # invalid individuals score +inf; slots 0, 2 and 3 tie as worst, so the
+    # events replace slot 0, then slot 2, then slot 3
+    inf = math.inf
+    tb, crossed = rigged_toolbox(
+        spawns=[("a", inf), ("b", 2.0), ("c", inf), ("d", inf)],
+        mutants=[("e", 4.0), ("f", 8.5), ("g", 0.5), ("h", 9.9),
+                 ("i", 7.0), ("j", 9.0), ("k", 9.5), ("l", 9.6)],
+        crossovers=[(("x", 5.0), ("y", 5.0))] * 3,
+    )
+    cfg = EvolutionConfig("mep", 4, population_size=4, generations=2)
+    rng = StubRandom([
+        ("randint", 1), ("randint", 1), ("randint", 1), ("randint", 1),
+        ("random", 0.95),
+        ("randint", 0), ("randint", 0), ("randint", 2), ("randint", 2),
+        ("random", 0.1),
+        ("randint", 2), ("randint", 2), ("randint", 3), ("randint", 3),
+        ("random", 0.1),
+        ("randint", 3), ("randint", 3), ("randint", 3), ("randint", 3),
+        ("random", 0.1),
+    ])
+    result = evolve_steady_state(tb, cfg, rng)
+    rng.assert_exhausted()
+    # events 2-4 each cross the slot the event before replaced with the next
+    # tied slot, still intact (event 4 has none left and reads slot 3 twice)
+    assert crossed == [
+        (("e", 4.0), ("c", inf)),
+        (("g", 0.5), ("d", inf)),
+        (("i", 7.0), ("i", 7.0)),
+    ]
+    assert result.best_per_generation == [0.5, 0.5]
+    assert result.best_individual == ("g", 0.5)
+
+
 def test_steady_state_prefers_the_first_offspring_on_ties():
     tb, _ = rigged_toolbox(
         spawns=[("a", 5.0), ("b", 6.0)],

@@ -154,7 +154,8 @@ def test_execute_matches_prefix_reexecution_oracle():
             [[rng.uniform(0, 10)] for _ in range(5)],
             [rng.uniform(0, 10) for _ in range(5)],
         )
-        prog = random_program(1 + rng.randint(12), 5, 1, X, rng)
+        # every other program mixes constant operands into the registers
+        prog = random_program(1 + rng.randint(12), 5, 1, X, rng, constant_rate=0.3 * (trial % 2))
         trace = execute(prog, cases)
         for i in range(len(prog)):
             for k in range(cases.n):
@@ -163,6 +164,8 @@ def test_execute_matches_prefix_reexecution_oracle():
                     assert trace.written[i, k] == v
         got, _ = fitness(prog, cases, "multi")
         assert got == oracle_fitness_multi(prog, cases)
+        r0_writes = [i for i, ins in enumerate(prog.instructions) if ins.dest == 0]
+        assert trace.output == (trace.first + r0_writes[-1] if r0_writes else 0)
 
 
 def test_register_taint_propagates_through_data_flow():
