@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness
-from .core import MODES, TARGET_FUNCTIONS, check_mode, read_cases_csv
+from .core import MODES, TARGET_FUNCTIONS, check_mode, check_settings, read_cases_csv
 from .engine import TECHNIQUES
 from .harness import (
     PRESET_EXPERIMENTS,
@@ -95,16 +95,9 @@ class CliConfig:
 
     def validate(self) -> None:
         check_mode(self.mode)
-        for name in ("chromosome_length", "population_size", "runs",
-                     "generations", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_settings(self, "chromosome_length", "population_size", "runs", "generations", "jobs")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
-        if self.mutations < 0:
-            raise ValueError("mutation count cannot be negative")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError("crossover probability must lie in [0, 1]")
 
 
 def _variant_label(technique: str, mode: str) -> str:

@@ -7,7 +7,7 @@ operation draws from.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -36,31 +36,14 @@ def reset_ops() -> None:
     _ops_applied = 0
 
 
-def protected_apply(op: str, a: float, b: float) -> float:
-    """Apply one binary operator to scalars.
+def vector_apply(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Apply one binary operator elementwise over aligned case vectors.
 
     add/sub/mul are plain IEEE double operations; div returns a/b unless
     ``|b| < DIV_EPSILON``, in which case it returns 1.0.  Non-finite results
     (overflow) propagate to the caller, which is expected to mark the
-    surrounding value vector invalid.
+    surrounding row invalid.
     """
-    global _ops_applied
-    _ops_applied += 1
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return 1.0 if abs(b) < DIV_EPSILON else a / b
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def vector_apply(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`protected_apply` over aligned case vectors."""
-    global _ops_applied
-    _ops_applied += a.size
     if op == "add":
         return a + b
     if op == "sub":
@@ -80,6 +63,19 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown fitness mode {mode!r} (expected one of {MODES})")
 
 
+def check_settings(settings, *counts: str) -> None:
+    """Range checks shared by the run, sweep and command-line settings: each
+    named count is positive, the crossover probability lies in [0, 1] and the
+    mutation count is not negative."""
+    for name in counts:
+        if getattr(settings, name) < 1:
+            raise ValueError(f"{name} must be positive")
+    if not 0.0 <= settings.crossover_probability <= 1.0:
+        raise ValueError("crossover probability must lie in [0, 1]")
+    if settings.mutations < 0:
+        raise ValueError("mutation count cannot be negative")
+
+
 @dataclass
 class RowTable:
     """Outputs of a straight-line program over all fitness cases.
@@ -87,45 +83,98 @@ class RowTable:
     Row i holds one leaf or one operation.  ``valid[i]`` is False when a
     non-finite value appeared in an operation row or in any operation row it
     was built from; leaf rows (inputs, constants) are always valid.
-    ``errors[i]`` is the row's sum of absolute errors, +inf where invalid.
+    ``errors[i]`` is the row's sum of absolute errors, +inf where invalid;
+    ``error_list`` holds the same errors as Python floats.
     """
 
     values: np.ndarray  # (R, n)
     valid: np.ndarray   # (R,) bool
     errors: np.ndarray  # (R,)
+    error_list: list[float] = field(repr=False, compare=False)
 
     def best(self, start: int = 0) -> tuple[float, int]:
         """Lowest error among rows ``start..`` and its row; ties go to the lowest row."""
-        idx = start + int(np.argmin(self.errors[start:]))
-        return float(self.errors[idx]), idx
+        # invalid rows hold +inf, and only a leaf holding NaN (no encoding
+        # passes one) gives a NaN error, so min and the first index of it
+        # pick the row argmin would
+        errs = self.error_list[start:] if start else self.error_list
+        low = min(errs)
+        return low, start + errs.index(low)
+
+
+def _protected_divide(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    out[...] = vector_apply("div", a, b)
+
+
+#: each operator as a ufunc called (a, b, out); the plain one divides by anything
+_PLAIN = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+_PROTECTED = {**_PLAIN, "div": _protected_divide}
+
+#: per case count, a (rows, n) scratch buffer and the list of its row views;
+#: grown on demand.  Shared by every call, so evaluation is not thread-safe
+#: (nor is the operation counter).
+_scratch: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+
+
+def _scratch_rows(count: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    buf, views = _scratch.get(n, (None, []))
+    if len(views) < count:
+        buf = np.empty((max(count, 2 * len(views), 64), n))
+        views = list(buf)
+        _scratch[n] = buf, views
+    return buf, views
+
+
+def _run_rows(rows, leaves, buf, views, ufuncs) -> tuple[list[int], int]:
+    """Write every row into ``buf``; return the divisor rows and the leaf count."""
+    divisors = []
+    leaf_rows = 0
+    for i, (op, a, b) in enumerate(rows):
+        if op is None:
+            buf[i] = leaves[a]
+            leaf_rows += 1
+        else:
+            if op == "div":
+                divisors.append(b)
+            ufuncs[op](views[a], views[b], views[i])
+    return divisors, leaf_rows
 
 
 def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
     """Run post-order rows ``(op, a, b)`` once over all cases.
 
     A leaf row (``op is None``) copies ``leaves[a]``; an operation row applies
-    ``op`` to the earlier rows ``a`` and ``b``.  Invalidity propagates from a
-    row to every row built on top of it.
+    ``op`` to the earlier rows ``a`` and ``b`` as :func:`vector_apply` does.
+    Invalidity propagates from a row to every row built on top of it.
     """
-    values = np.empty((len(rows), cases.n))
+    global _ops_applied
+    count, n = len(rows), cases.n
+    buf, views = _scratch_rows(count, n)
     with np.errstate(all="ignore"):
-        for i, (op, a, b) in enumerate(rows):
-            values[i] = leaves[a] if op is None else vector_apply(op, values[a], values[b])
-        errors = np.abs(values - cases.targets).sum(axis=1)
-    # a non-finite value makes its row's error non-finite, so finite errors
-    # clear the whole table at once
-    valid = np.isfinite(errors)
-    if not valid.all():
-        valid = np.isfinite(values).all(axis=1)
-        ok = valid.tolist()
-        for i, (op, a, b) in enumerate(rows):
-            if op is None:
-                ok[i] = True
-            elif not (ok[a] and ok[b]):
-                ok[i] = False
-        valid = np.array(ok)
-        errors[~valid] = np.inf
-    return RowTable(values, valid, errors)
+        divisors, leaf_rows = _run_rows(rows, leaves, buf, views, _PLAIN)
+        # rows are written once, so at the first division whose divisor is
+        # small every earlier row is exact and this check sees that divisor.
+        # fmin skips NaN; a plain min would let one NaN divisor hide a zero.
+        if divisors and np.fmin.reduce(np.abs(buf.take(divisors, 0)), None) < DIV_EPSILON:
+            _run_rows(rows, leaves, buf, views, _PROTECTED)
+        values = buf[:count].copy()
+        errors = np.add.reduce(np.abs(values - cases.targets), 1)
+    _ops_applied += (count - leaf_rows) * n
+    error_list = errors.tolist()
+    # a non-finite value makes its row's error, and so the sum, non-finite:
+    # a finite sum clears the whole table at once
+    if sum(error_list) < np.inf:
+        return RowTable(values, np.ones(count, dtype=bool), errors, error_list)
+    valid = np.isfinite(values).all(axis=1)
+    ok = valid.tolist()
+    for i, (op, a, b) in enumerate(rows):
+        if op is None:
+            ok[i] = True
+        elif not (ok[a] and ok[b]):
+            ok[i] = False
+    valid = np.array(ok)
+    errors[~valid] = np.inf
+    return RowTable(values, valid, errors, errors.tolist())
 
 
 @dataclass(frozen=True)

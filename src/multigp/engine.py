@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import ifgp, lgp, mep
-from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, check_mode  # noqa: F401 (MODES re-exported)
+from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, check_mode, check_settings  # noqa: F401 (MODES re-exported)
 
 #: a run succeeds when its final best fitness falls below this
 SUCCESS_THRESHOLD = 0.01
@@ -35,14 +35,7 @@ class EvolutionConfig:
         min_length = 2 if self.technique == "ifgp" else 1
         if self.chromosome_length < min_length:
             raise ValueError(f"{self.technique} needs chromosome length >= {min_length}")
-        if self.population_size < 1:
-            raise ValueError("population size must be positive")
-        if self.generations < 1:
-            raise ValueError("generation count must be positive")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError("crossover probability must lie in [0, 1]")
-        if self.mutations < 0:
-            raise ValueError("mutation count cannot be negative")
+        check_settings(self, "population_size", "generations")
         if self.extra_registers < 0:
             raise ValueError("supplementary register count cannot be negative")
 

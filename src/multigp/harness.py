@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
-from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, make_problem
+from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, check_settings, make_problem
 from .engine import TECHNIQUES, EvolutionConfig, RunResult, run_evolution
 
 # label -> (technique, fitness mode); multi-solution label first in each pair
@@ -74,10 +74,7 @@ class SweepSpec:
             raise ValueError("no swept values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("swept values must be strictly increasing")
-        if self.runs < 1:
-            raise ValueError("runs per point must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("job count must be at least 1")
+        check_settings(self, "runs", "jobs")
 
     def config_hash(self) -> str:
         payload = {

@@ -18,7 +18,6 @@ from multigp.core import (
     evaluate_rows,
     make_problem,
     ops_applied,
-    protected_apply,
     read_cases_csv,
     reset_ops,
     vector_apply,
@@ -32,30 +31,43 @@ finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 # --- protected operators ---
 
-def test_protected_apply_basic_arithmetic():
-    assert protected_apply("add", 2.0, 3.0) == 5.0
-    assert protected_apply("sub", 2.0, 3.0) == -1.0
-    assert protected_apply("mul", 2.0, 3.0) == 6.0
-    assert protected_apply("div", 6.0, 3.0) == 2.0
+def _protected_scalar(op, a, b):
+    """The operator rule written out for Python floats, as an oracle."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    return 1.0 if abs(b) < DIV_EPSILON else a / b
+
+
+def _apply(op, a, b):
+    return float(vector_apply(op, np.array([a]), np.array([b]))[0])
+
+
+def test_vector_apply_basic_arithmetic():
+    assert _apply("add", 2.0, 3.0) == 5.0
+    assert _apply("sub", 2.0, 3.0) == -1.0
+    assert _apply("mul", 2.0, 3.0) == 6.0
+    assert _apply("div", 6.0, 3.0) == 2.0
 
 
 def test_protected_division_guards_small_denominators():
-    assert protected_apply("div", 5.0, 0.0) == 1.0
-    assert protected_apply("div", 5.0, 1e-13) == 1.0
-    assert protected_apply("div", 5.0, -1e-13) == 1.0
+    assert _apply("div", 5.0, 0.0) == 1.0
+    assert _apply("div", 5.0, 1e-13) == 1.0
+    assert _apply("div", 5.0, -1e-13) == 1.0
     # just outside the guard band division is ordinary
-    assert protected_apply("div", 5.0, 2e-12) == 5.0 / 2e-12
-    assert protected_apply("div", 0.0, 3.0) == 0.0
+    assert _apply("div", 5.0, 2e-12) == 5.0 / 2e-12
+    assert _apply("div", 0.0, 3.0) == 0.0
 
 
 def test_division_guard_boundary_is_strict():
-    assert protected_apply("div", 1.0, DIV_EPSILON) == 1.0 / DIV_EPSILON
-    assert protected_apply("div", 1.0, math.nextafter(DIV_EPSILON, 0.0)) == 1.0
+    assert _apply("div", 1.0, DIV_EPSILON) == 1.0 / DIV_EPSILON
+    assert _apply("div", 1.0, math.nextafter(DIV_EPSILON, 0.0)) == 1.0
 
 
-def test_protected_apply_rejects_unknown_operator():
-    with pytest.raises(ValueError):
-        protected_apply("pow", 2.0, 3.0)
+def test_vector_apply_rejects_unknown_operator():
     with pytest.raises(ValueError):
         vector_apply("pow", np.ones(3), np.ones(3))
 
@@ -71,7 +83,7 @@ def test_vector_apply_matches_scalar_apply_exactly(op, pairs):
     with np.errstate(all="ignore"):
         vec = vector_apply(op, a, b)
     for i, (x, y) in enumerate(pairs):
-        expected = protected_apply(op, x, y)
+        expected = _protected_scalar(op, x, y)
         if math.isnan(expected):
             assert math.isnan(vec[i])
         else:
@@ -79,11 +91,14 @@ def test_vector_apply_matches_scalar_apply_exactly(op, pairs):
 
 
 def test_operation_counter_counts_per_case():
+    cases = make_cases([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0] * 7)
+    # row 2 divides by the zero row 1, so the protected rule runs as well
+    rows = [(None, 0, 0), ("sub", 0, 0), ("div", 0, 1), (None, 0, 0)]
     reset_ops()
-    protected_apply("add", 1.0, 2.0)
-    assert ops_applied() == 1
-    vector_apply("mul", np.ones(7), np.ones(7))
-    assert ops_applied() == 8
+    evaluate_rows(rows, cases.inputs.T, cases)
+    assert ops_applied() == 14
+    evaluate_rows(rows[:1], cases.inputs.T, cases)
+    assert ops_applied() == 14
     reset_ops()
     assert ops_applied() == 0
 
@@ -199,6 +214,105 @@ def test_evaluate_rows_validity_follows_values_not_an_overflowing_error():
     table = evaluate_rows([(None, 0, 0)], cases.inputs.T, cases)
     assert table.valid.tolist() == [True]
     assert math.isinf(table.errors[0])
+
+
+def _reference_rows(rows, leaves, cases):
+    """The row evaluator one row at a time through ``vector_apply``, as an
+    oracle: (values, valid, errors, applied operations)."""
+    values = np.empty((len(rows), cases.n))
+    with np.errstate(all="ignore"):
+        for i, (op, a, b) in enumerate(rows):
+            values[i] = leaves[a] if op is None else vector_apply(op, values[a], values[b])
+        errors = np.abs(values - cases.targets).sum(axis=1)
+    valid = np.isfinite(errors)
+    if not valid.all():
+        valid = np.isfinite(values).all(axis=1)
+        ok = valid.tolist()
+        for i, (op, a, b) in enumerate(rows):
+            if op is None:
+                ok[i] = True
+            elif not (ok[a] and ok[b]):
+                ok[i] = False
+        valid = np.array(ok)
+        errors[~valid] = np.inf
+    return values, valid, errors, sum(op is not None for op, _, _ in rows) * cases.n
+
+
+def _reference_best(errors, start=0):
+    idx = start + int(np.argmin(errors[start:]))
+    return float(errors[idx]), idx
+
+
+def _assert_matches_reference(rows, leaves, cases):
+    values, valid, errors, ops = _reference_rows(rows, leaves, cases)
+    reset_ops()
+    table = evaluate_rows(rows, leaves, cases)
+    assert ops_applied() == ops
+    reset_ops()
+    assert table.values.tobytes() == values.tobytes()
+    assert table.valid.dtype == valid.dtype and table.valid.tobytes() == valid.tobytes()
+    assert table.errors.tobytes() == errors.tobytes()
+    # only a leaf row holding NaN has a NaN error (leaf rows are never
+    # tainted); no encoding passes such a leaf, and best() assumes none
+    nan_rows = np.flatnonzero(np.isnan(errors)).tolist()
+    assert all(rows[i][0] is None for i in nan_rows)
+    for start in range(max(nan_rows, default=-1) + 1, len(rows)):
+        assert table.best(start) == _reference_best(errors, start)
+    return table
+
+
+_EDGE_VALUES = [0.0, -0.0, 1e-13, -1e-13, DIV_EPSILON, -DIV_EPSILON,
+                math.nextafter(DIV_EPSILON, 0.0), -math.nextafter(DIV_EPSILON, 0.0),
+                math.nextafter(DIV_EPSILON, 1.0), math.nan, math.inf, -math.inf,
+                1e300, -1e300, 1.0, -2.0, 3.5]
+_LEAF_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+
+
+@st.composite
+def _row_programs(draw):
+    """Post-order rows over a random case count and leaf set: vector leaves
+    (as MEP and IFGP pass) and scalar leaves (as LGP's register initial values
+    and constants are)."""
+    n = draw(st.sampled_from([1, 2, 3, 5, CASES_PER_PROBLEM]))
+    targets = draw(st.lists(finite_doubles, min_size=n, max_size=n))
+    leaves = draw(st.lists(
+        st.one_of(_LEAF_VALUES, st.lists(_LEAF_VALUES, min_size=n, max_size=n).map(np.array)),
+        min_size=1, max_size=4))
+    rows = [(None, draw(st.integers(0, len(leaves) - 1)), 0)]
+    for i in range(1, draw(st.integers(1, 40))):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append((None, draw(st.integers(0, len(leaves) - 1)), 0))
+        else:
+            rows.append((draw(st.sampled_from(OPERATORS)),
+                         draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))))
+    return rows, leaves, make_cases([0.0] * n, targets)
+
+
+@given(_row_programs())
+@settings(max_examples=500, deadline=None)
+def test_evaluate_rows_matches_the_row_at_a_time_reference(program):
+    _assert_matches_reference(*program)
+
+
+def test_evaluate_rows_sees_a_zero_divisor_beside_a_nan_divisor():
+    # row 2 is NaN (inf - inf) and row 3 exactly 0: a min over both divisors
+    # is NaN and would hide the zero, leaving 1 / 0 = inf in row 5
+    cases = make_cases([1.0, 2.0], [0.0, 0.0])
+    leaves = [np.array([1.0, 2.0]), math.inf]
+    rows = [(None, 0, 0), (None, 1, 0), ("sub", 1, 1), ("sub", 0, 0), ("div", 0, 2), ("div", 0, 3)]
+    table = _assert_matches_reference(rows, leaves, cases)
+    assert table.values[5].tolist() == [1.0, 1.0]
+    assert table.valid.tolist() == [True, True, False, True, False, True]
+
+
+def test_consecutive_tables_keep_their_own_values():
+    cases = make_cases([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    first = evaluate_rows([(None, 0, 0), ("mul", 0, 0)], cases.inputs.T, cases)
+    kept = first.values.copy()
+    second = evaluate_rows([(None, 0, 0), ("add", 0, 0), ("add", 1, 1)], cases.inputs.T, cases)
+    assert first.values.tobytes() == kept.tobytes()
+    assert second.values.tolist() == [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [4.0, 8.0, 12.0]]
+    assert not np.shares_memory(first.values, second.values)
 
 
 # --- deterministic random source ---

@@ -62,6 +62,8 @@ def test_variant_pairs_put_the_multi_label_first():
     {"values": (8, 4)},
     {"runs": 0},
     {"jobs": 0},
+    {"crossover_probability": 1.5},
+    {"mutations": -1},
 ])
 def test_spec_validation_rejects_bad_fields(overrides):
     with pytest.raises(ValueError):
