@@ -20,20 +20,21 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import harness
 from .core import MODES, TARGET_FUNCTIONS, check_mode, check_settings, read_cases_csv
 from .engine import TECHNIQUES
 from .harness import (
     PRESET_EXPERIMENTS,
     PARAMS,
     PROBLEM_IDS,
-    VARIANTS,
     ExperimentReport,
     SweepSpec,
+    combine_reports,
     emit_plot,
     parse_csv,
+    preset_sweep_specs,
     run_one,
     run_sweep,
+    variant_pair,
     write_csv,
     write_run_log,
 )
@@ -46,7 +47,7 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# converters for values arriving from a config file as strings
+# converters for config-file values, given as key=value text (see _config_text)
 _OPTION_TYPES = {
     "technique": str,
     "problem": str,
@@ -100,17 +101,23 @@ class CliConfig:
             raise ValueError("seed cannot be negative")
 
 
-def _variant_label(technique: str, mode: str) -> str:
-    for label, (tech, m) in VARIANTS.items():
-        if (tech, m) == (technique, mode):
-            return label
-    raise ValueError(f"no variant for {technique!r}/{mode!r}")
-
-
 def _echo_config(cfg: CliConfig) -> None:
     payload = {k: (list(v) if isinstance(v, tuple) else v)
                for k, v in vars(cfg).items()}
     print("effective-config " + json.dumps(payload, sort_keys=True))
+
+
+def _config_text(key: str, value) -> str:
+    """A JSON config value as a key=value line would spell it, so that both
+    formats go through the converters of ``_OPTION_TYPES``."""
+    listed = _OPTION_TYPES[key] in (_parse_ints, _parse_names)
+    if isinstance(value, str):
+        return value
+    if listed and isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if not listed and type(value) in (int, float):  # not bool
+        return str(value)
+    raise ValueError(f"config key {key!r} cannot take {json.dumps(value)}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -131,11 +138,8 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key not in _OPTION_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            value = _OPTION_TYPES[key](value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        resolved[key] = value
+        if value is not None:  # JSON null leaves the option at its default
+            resolved[key] = _OPTION_TYPES[key](_config_text(key, value))
     return resolved
 
 
@@ -168,34 +172,30 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", default=out_default,
                        help="output directory (default: $MULTIGP_OUT or .)")
 
+    def run_settings(p: argparse.ArgumentParser) -> None:
+        """The settings of the runs themselves, shared by run and sweep."""
+        p.add_argument("--technique", choices=TECHNIQUES, default="mep")
+        p.add_argument("--problem", default="f1")
+        p.add_argument("--length", dest="chromosome_length", type=int, default=20)
+        p.add_argument("--pop", dest="population_size", type=int, default=50)
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--generations", type=int, default=51)
+        p.add_argument("--crossover", dest="crossover_probability", type=float, default=0.9)
+        p.add_argument("--mutations", type=int, default=2)
+        p.add_argument("--dataset", default=None, help="pin fitness cases from a CSV file")
+
     run_p = sub.add_parser("run", help="one evolution run")
-    run_p.add_argument("--technique", choices=TECHNIQUES, default="mep")
-    run_p.add_argument("--problem", default="f1")
+    run_settings(run_p)
     run_p.add_argument("--mode", choices=MODES, default="multi")
-    run_p.add_argument("--length", dest="chromosome_length", type=int, default=20)
-    run_p.add_argument("--pop", dest="population_size", type=int, default=50)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--generations", type=int, default=51)
-    run_p.add_argument("--crossover", dest="crossover_probability", type=float, default=0.9)
-    run_p.add_argument("--mutations", type=int, default=2)
-    run_p.add_argument("--dataset", default=None, help="pin fitness cases from a CSV file")
     common(run_p)
 
     sweep_p = sub.add_parser("sweep", help="parameter sweep, both variants of one technique")
-    sweep_p.add_argument("--technique", choices=TECHNIQUES, default="mep")
-    sweep_p.add_argument("--problem", default="f1")
+    run_settings(sweep_p)
     sweep_p.add_argument("--param", choices=PARAMS, default="chromosome_length")
     sweep_p.add_argument("--values", type=_parse_ints, default=None,
                          help="comma-separated swept values")
-    sweep_p.add_argument("--length", dest="chromosome_length", type=int, default=20)
-    sweep_p.add_argument("--pop", dest="population_size", type=int, default=50)
     sweep_p.add_argument("--runs", type=int, default=100)
-    sweep_p.add_argument("--seed", type=int, default=1)
-    sweep_p.add_argument("--generations", type=int, default=51)
-    sweep_p.add_argument("--crossover", dest="crossover_probability", type=float, default=0.9)
-    sweep_p.add_argument("--mutations", type=int, default=2)
     sweep_p.add_argument("--jobs", type=int, default=1)
-    sweep_p.add_argument("--dataset", default=None)
     sweep_p.add_argument("--stem", default=None, help="output file stem")
     common(sweep_p)
 
@@ -235,7 +235,7 @@ def cmd_run(cfg: CliConfig) -> int:
         print(f"error: unknown problem {cfg.problem!r}; "
               f"choose from {list(PROBLEM_IDS)}", file=sys.stderr)
         return 2
-    variant = _variant_label(cfg.technique, cfg.mode)
+    variant = variant_pair(cfg.technique)[MODES.index(cfg.mode)]
     result = run_one(
         variant, cfg.problem, cfg.chromosome_length, cfg.population_size,
         cfg.seed, generations=cfg.generations,
@@ -287,9 +287,6 @@ def _write_report(report: ExperimentReport, out_dir: str, stem: str) -> int:
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
-    if cfg.dataset is None and cfg.problem not in TARGET_FUNCTIONS:
-        print(f"error: unknown problem {cfg.problem!r}", file=sys.stderr)
-        return 2
     if not cfg.values:
         print("error: sweep needs --values", file=sys.stderr)
         return 2
@@ -323,19 +320,21 @@ def cmd_paper(cfg: CliConfig) -> int:
         print(f"error: unknown experiment {cfg.experiment!r}; "
               f"choose from {sorted(PRESET_EXPERIMENTS)}", file=sys.stderr)
         return 2
-    problems = cfg.problems if cfg.problems else PROBLEM_IDS
-    unknown = [p for p in problems if p not in TARGET_FUNCTIONS]
-    if unknown:
-        print(f"error: unknown problems {unknown}", file=sys.stderr)
-        return 2
-    report = harness.run_preset_experiment(
+    specs = preset_sweep_specs(
         cfg.experiment,
-        problems=tuple(problems),
+        problems=cfg.problems or PROBLEM_IDS,
         runs=cfg.runs,
         base_seed=cfg.seed,
         jobs=cfg.jobs,
         values=cfg.values,
     )
+    try:
+        for spec in specs:
+            spec.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = combine_reports([run_sweep(spec) for spec in specs])
     stem = PRESET_EXPERIMENTS[cfg.experiment].figure
     return _write_report(report, cfg.out_dir, stem)
 

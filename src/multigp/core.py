@@ -400,10 +400,17 @@ def read_cases_csv(path) -> FitnessCaseSet:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["x", "target"]:
-            raise ValueError(f"expected header 'x,target', got {header!r}")
-        rows = [(float(x), float(t)) for x, t in reader]
+            raise ValueError(f"{path}: expected header 'x,target', got {header!r}")
+        rows = []
+        for row in reader:
+            try:
+                x, t = row
+                rows.append((float(x), float(t)))
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: expected 'x,target' "
+                                 f"as two numbers, got {row!r}") from None
     if not rows:
-        raise ValueError("dataset file holds no cases")
+        raise ValueError(f"{path}: dataset file holds no cases")
     xs = np.array([r[0] for r in rows]).reshape(-1, 1)
     ts = np.array([r[1] for r in rows])
     return FitnessCaseSet(inputs=xs, targets=ts)

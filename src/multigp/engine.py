@@ -26,7 +26,6 @@ class EvolutionConfig:
     generations: int = 51
     crossover_probability: float = 0.9
     mutations: int = 2
-    extra_registers: int = 4  # LGP register file = problem inputs + this
 
     def validate(self) -> None:
         if self.technique not in TECHNIQUES:
@@ -36,8 +35,8 @@ class EvolutionConfig:
         if self.chromosome_length < min_length:
             raise ValueError(f"{self.technique} needs chromosome length >= {min_length}")
         check_settings(self, "population_size", "generations")
-        if self.extra_registers < 0:
-            raise ValueError("supplementary register count cannot be negative")
+        if self.technique == "lgp" and self.population_size < 4:
+            raise ValueError("tournament of four needs a population of at least 4")
 
 
 @dataclass
@@ -76,7 +75,7 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
             describe=lambda c: mep.expression(c, mep.fitness(c, cases, mode)[1], prims),
         )
     if cfg.technique == "lgp":
-        registers = cases.num_inputs + cfg.extra_registers
+        registers = cases.num_inputs + lgp.SUPPLEMENTARY_REGISTERS
         return Toolbox(
             spawn=lambda rng: lgp.random_program(length, registers, cases.num_inputs, prims, rng),
             crossover=lgp.crossover_uniform,
@@ -181,8 +180,6 @@ def evolve_tournament(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSource)
     the population, so it cannot be lost to a replacement.
     """
     cfg.validate()
-    if cfg.population_size < 4:
-        raise ValueError("tournament of four needs a population of at least 4")
     population, fitnesses = _spawn_population(toolbox, cfg, rng)
     evaluations = cfg.population_size
     best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])

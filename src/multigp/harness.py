@@ -10,16 +10,14 @@ replayed in isolation and execution order never matters.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
 from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, check_settings, make_problem
-from .engine import TECHNIQUES, EvolutionConfig, RunResult, run_evolution
+from .engine import EvolutionConfig, RunResult, run_evolution
 
 # label -> (technique, fitness mode); multi-solution label first in each pair
 VARIANTS = {
@@ -64,8 +62,6 @@ class SweepSpec:
     dataset: FitnessCaseSet | None = None
 
     def validate(self) -> None:
-        if self.technique not in TECHNIQUES:
-            raise ValueError(f"unknown technique {self.technique!r}")
         if self.dataset is None and self.problem not in TARGET_FUNCTIONS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.param not in PARAMS:
@@ -75,21 +71,19 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("swept values must be strictly increasing")
         check_settings(self, "runs", "jobs")
+        self.point_config(self.values[0]).validate()  # values are increasing: the smallest point
 
-    def config_hash(self) -> str:
-        payload = {
-            k: getattr(self, k)
-            for k in (
-                "technique", "problem", "param", "values", "runs", "base_seed",
-                "population_size", "chromosome_length", "generations",
-                "crossover_probability", "mutations",
-            )
-        }
-        digest = hashlib.sha256(repr(sorted(payload.items())).encode())
-        if self.dataset is not None:
-            digest.update(self.dataset.inputs.tobytes())
-            digest.update(self.dataset.targets.tobytes())
-        return digest.hexdigest()[:12]
+    def point_config(self, value: int) -> EvolutionConfig:
+        """The run settings of the sweep point at ``value`` (either mode)."""
+        sizes = {"chromosome_length": self.chromosome_length,
+                 "population_size": self.population_size, self.param: value}
+        return EvolutionConfig(
+            technique=self.technique,
+            generations=self.generations,
+            crossover_probability=self.crossover_probability,
+            mutations=self.mutations,
+            **sizes,
+        )
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,14 @@ class SweepPoint:
 
 @dataclass
 class ExperimentReport:
+    """Sweep points, kept in report order (variant, problem, value), and the
+    per-run log."""
+
     points: list[SweepPoint]
     run_log: list[dict] = field(default_factory=list, compare=False, repr=False)
-    metadata: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.points = sorted(self.points, key=lambda p: (p.variant, p.problem, p.value))
 
 
 def run_one(
@@ -163,12 +162,11 @@ def run_sweep(spec: SweepSpec) -> ExperimentReport:
     spec.validate()
     tasks = []
     for variant, value in _point_grid(spec):
-        length = value if spec.param == "chromosome_length" else spec.chromosome_length
-        population = value if spec.param == "population_size" else spec.population_size
+        cfg = spec.point_config(value)
         for i in range(spec.runs):
             tasks.append((
-                variant, spec.problem, length, population, spec.base_seed + i,
-                spec.generations, spec.crossover_probability, spec.mutations,
+                variant, spec.problem, cfg.chromosome_length, cfg.population_size,
+                spec.base_seed + i, cfg.generations, cfg.crossover_probability, cfg.mutations,
                 spec.dataset,
             ))
     if spec.jobs > 1:
@@ -198,28 +196,14 @@ def run_sweep(spec: SweepSpec) -> ExperimentReport:
             })
         points.append(SweepPoint(variant, spec.problem, spec.param, value,
                                  successes, spec.runs))
-    points.sort(key=lambda p: (p.variant, p.problem, p.value))
-    metadata = {
-        "config": spec.config_hash(),
-        "seeds": [spec.base_seed, spec.base_seed + spec.runs - 1],
-        "timestamp": time.time(),
-    }
-    return ExperimentReport(points=points, run_log=run_log, metadata=metadata)
+    return ExperimentReport(points=points, run_log=run_log)
 
 
 def combine_reports(reports: list[ExperimentReport]) -> ExperimentReport:
     """Merge sweeps (typically one per problem) into a single report."""
-    points = sorted(
-        (p for r in reports for p in r.points),
-        key=lambda p: (p.variant, p.problem, p.value),
-    )
+    points = [p for r in reports for p in r.points]
     run_log = [entry for r in reports for entry in r.run_log]
-    metadata = {
-        "config": [r.metadata.get("config") for r in reports],
-        "seeds": reports[0].metadata.get("seeds") if reports else None,
-        "timestamp": time.time(),
-    }
-    return ExperimentReport(points=points, run_log=run_log, metadata=metadata)
+    return ExperimentReport(points=points, run_log=run_log)
 
 
 # --- CSV report ---
@@ -229,7 +213,7 @@ CSV_HEADER = "variant,problem,param,value,successes,runs,success_rate"
 
 def emit_csv(report: ExperimentReport) -> bytes:
     lines = [CSV_HEADER]
-    for p in sorted(report.points, key=lambda p: (p.variant, p.problem, p.value)):
+    for p in report.points:
         lines.append(
             f"{p.variant},{p.problem},{p.param},{p.value},"
             f"{p.successes},{p.runs},{p.success_rate:.4f}"
@@ -287,7 +271,7 @@ def render_svg(report: ExperimentReport, problem: str) -> str:
     """
     series: dict[str, list[tuple[int, float]]] = {}
     params = set()
-    for p in sorted(report.points, key=lambda p: (p.variant, p.problem, p.value)):
+    for p in report.points:
         if p.problem != problem:
             continue
         series.setdefault(p.variant, []).append((p.value, p.success_rate))
@@ -446,15 +430,3 @@ def preset_sweep_specs(
         )
         for problem in problems
     ]
-
-
-def run_preset_experiment(
-    experiment_id: str,
-    problems: tuple[str, ...] = PROBLEM_IDS,
-    runs: int = 100,
-    base_seed: int = 0,
-    jobs: int = 1,
-    values: tuple[int, ...] | None = None,
-) -> ExperimentReport:
-    specs = preset_sweep_specs(experiment_id, problems, runs, base_seed, jobs, values)
-    return combine_reports([run_sweep(spec) for spec in specs])

@@ -21,7 +21,7 @@ from .core import (
     evaluate_rows,
 )
 
-#: registers added on top of the problem inputs in the benchmark presets
+#: registers added on top of the problem inputs in every LGP run
 SUPPLEMENTARY_REGISTERS = 4
 
 #: initial content of registers not fed by a problem input

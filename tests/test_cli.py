@@ -172,6 +172,30 @@ def test_config_line_without_equals_is_rejected(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file)]) == 2
 
 
+@pytest.mark.parametrize("subcommand, payload", [
+    ("sweep", {"values": 4}),
+    ("run", {"seed": 1.5}),
+    ("run", {"seed": True}),
+    ("sweep", {"values": [4, "eight"]}),
+])
+def test_json_config_value_of_the_wrong_type_is_rejected(tmp_path, capsys, subcommand, payload):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(payload))
+    assert main([subcommand, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "bad config file" in capsys.readouterr().err
+
+
+def test_json_config_null_leaves_the_default(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "chromosome_length": 5, "population_size": 4, "generations": 1,
+        "seed": None, "dataset": None,
+    }))
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    cfg, _ = echo_of(capsys)
+    assert cfg["seed"] == 1 and cfg["dataset"] is None
+
+
 # --- sweep ---
 
 SWEEP_ARGS = ["sweep", "--values", "4,8", "--runs", "2", "--pop", "4",
@@ -216,6 +240,19 @@ def test_sweep_rejects_unsorted_values(tmp_path, capsys):
     code = main(["sweep", "--values", "8,4", "--out", str(tmp_path)])
     assert code == 2
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--values", "0,4"], "mep needs chromosome length >= 1"),
+    (["sweep", "--technique", "lgp", "--param", "population_size", "--values", "2,8",
+      "--jobs", "2"], "tournament of four"),
+    (["paper", "ifgp-exp1", "--values", "1"], "ifgp needs chromosome length >= 2"),
+    (["paper", "mep-exp1", "--values", "8,4"], "strictly increasing"),
+])
+def test_swept_values_the_engine_rejects_fail_before_any_run(tmp_path, capsys, argv, message):
+    assert main(argv + ["--runs", "1", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_values_from_config_file(tmp_path, capsys):

@@ -494,6 +494,14 @@ def test_cases_csv_rejects_bad_files(tmp_path):
         read_cases_csv(empty)
 
 
+@pytest.mark.parametrize("row", ["1,2,3", "4", "4,five"])
+def test_cases_csv_names_the_file_and_line_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "cases.csv"
+    path.write_text(f"x,target\n1,2\n{row}\n5,6\n")
+    with pytest.raises(ValueError, match=r"cases\.csv, line 3: expected 'x,target'"):
+        read_cases_csv(path)
+
+
 def test_cases_csv_requires_univariate_data(tmp_path):
     cases = FitnessCaseSet(inputs=np.ones((2, 2)), targets=np.ones(2))
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from multigp import engine
 from multigp.core import RandomSource, make_problem
 from multigp.engine import (
     MODES,
@@ -37,7 +38,7 @@ def test_config_accepts_the_benchmark_presets():
     EvolutionConfig("mep", 20, crossover_probability=1.2),
     EvolutionConfig("mep", 20, crossover_probability=-0.1),
     EvolutionConfig("mep", 20, mutations=-1),
-    EvolutionConfig("lgp", 20, extra_registers=-1),
+    EvolutionConfig("lgp", 20, population_size=3),  # tournament of four
 ])
 def test_config_rejects_bad_fields(cfg):
     with pytest.raises(ValueError):
@@ -244,13 +245,13 @@ def test_tournament_of_four_needs_four_individuals():
         evolve_tournament(tb, cfg, StubRandom([]))
 
 
-def test_run_evolution_dispatches_lgp_to_the_four_tournament():
+def test_run_evolution_dispatches_lgp_to_the_four_tournament(monkeypatch):
     cases = make_problem("f1", RandomSource(11))
-    cfg = EvolutionConfig("lgp", 6, population_size=3, generations=1)
-    with pytest.raises(ValueError):
-        run_evolution(cfg, cases, RandomSource(1))
-    cfg = EvolutionConfig("mep", 6, population_size=3, generations=1)
-    run_evolution(cfg, cases, RandomSource(1))
+    monkeypatch.setattr(engine, "evolve_tournament", lambda tb, cfg, rng: "tournament")
+    monkeypatch.setattr(engine, "evolve_steady_state", lambda tb, cfg, rng: "steady state")
+    for technique in TECHNIQUES:
+        loop = run_evolution(EvolutionConfig(technique, 6), cases, RandomSource(1))
+        assert loop == ("tournament" if technique == "lgp" else "steady state")
 
 
 def test_success_threshold_is_strict():

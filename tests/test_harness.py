@@ -18,7 +18,6 @@ from multigp.harness import (
     preset_sweep_specs,
     render_svg,
     run_one,
-    run_preset_experiment,
     run_sweep,
     variant_pair,
     write_csv,
@@ -64,6 +63,10 @@ def test_variant_pairs_put_the_multi_label_first():
     {"jobs": 0},
     {"crossover_probability": 1.5},
     {"mutations": -1},
+    {"values": (0, 4)},
+    {"technique": "ifgp", "values": (1, 10)},
+    {"technique": "lgp", "param": "population_size", "values": (3, 8)},
+    {"generations": 0},
 ])
 def test_spec_validation_rejects_bad_fields(overrides):
     with pytest.raises(ValueError):
@@ -72,16 +75,6 @@ def test_spec_validation_rejects_bad_fields(overrides):
 
 def test_unlisted_problem_is_fine_once_a_dataset_pins_the_cases():
     tiny_spec(problem="custom", dataset=identity_cases()).validate()
-
-
-def test_config_hash_tracks_every_scalar_field_and_the_dataset():
-    base = tiny_spec()
-    h = base.config_hash()
-    assert len(h) == 12 and h == tiny_spec().config_hash()
-    assert tiny_spec(runs=3).config_hash() != h
-    assert tiny_spec(base_seed=12).config_hash() != h
-    assert tiny_spec(values=(4, 9)).config_hash() != h
-    assert tiny_spec(dataset=identity_cases()).config_hash() != h
 
 
 def test_success_rate_is_successes_over_runs():
@@ -142,10 +135,8 @@ def test_sweep_is_deterministic_and_order_independent():
     spec = tiny_spec()
     first = run_sweep(spec)
     second = run_sweep(spec)
-    assert first == second  # metadata is excluded from report equality
+    assert first == second
     assert first.run_log == second.run_log
-    assert first.metadata["config"] == second.metadata["config"]
-    assert first.metadata["seeds"] == [11, 12]
     parallel = run_sweep(tiny_spec(jobs=2))
     assert parallel == first
     assert parallel.run_log == first.run_log
@@ -323,11 +314,14 @@ def test_preset_specs_honour_overrides():
 
 
 def test_preset_experiment_report_spans_problems_and_variants():
-    report = run_preset_experiment("mep-exp1", problems=("f1", "f2"),
-                                  runs=1, base_seed=5, values=(4,))
+    def run_preset():
+        specs = preset_sweep_specs("mep-exp1", problems=("f1", "f2"),
+                                   runs=1, base_seed=5, values=(4,))
+        return combine_reports([run_sweep(spec) for spec in specs])
+
+    report = run_preset()
     assert [(p.variant, p.problem) for p in report.points] == [
         ("mep", "f1"), ("mep", "f2"), ("sep", "f1"), ("sep", "f2"),
     ]
-    again = run_preset_experiment("mep-exp1", problems=("f1", "f2"),
-                                 runs=1, base_seed=5, values=(4,))
+    again = run_preset()
     assert report == again and report.run_log == again.run_log
