@@ -20,7 +20,7 @@ print(f"genes  {chrom.genes}")
 print(f"tokens {' '.join(expr.tokens)}")
 print(f"text   {expr.text}")
 
-# every distinct sub-tree of the parsed expression competes as a candidate
+# every distinct sub-expression competes as a candidate
 for node in ifgp.subexpressions(expr):
     print(f"  candidate {ifgp.canonical(node)}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import MODES, TARGET_FUNCTIONS, check_mode, check_settings, read_cases_csv
-from .engine import TECHNIQUES
+from .engine import TECHNIQUES, EvolutionConfig
 from .harness import (
     PRESET_EXPERIMENTS,
     PARAMS,
@@ -99,6 +99,9 @@ class CliConfig:
         check_settings(self, "chromosome_length", "population_size", "runs", "generations", "jobs")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
+        if self.subcommand == "run":  # sweep and paper check each point's settings
+            EvolutionConfig(self.technique, self.chromosome_length, self.mode, self.population_size,
+                            self.generations, self.crossover_probability, self.mutations).validate()
 
 
 def _echo_config(cfg: CliConfig) -> None:

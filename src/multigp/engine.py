@@ -94,7 +94,7 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
 
 def _describe_infix(chrom, cases, prims, mode) -> str:
     _, row = ifgp.fitness(chrom, cases, prims, mode)
-    return ifgp.render(ifgp.decode(chrom, prims).nodes[row])
+    return ifgp.render(ifgp.Subexpression(ifgp.decode(chrom, prims), row))
 
 
 def _describe_program(prog, cases, mode) -> str:

@@ -1,13 +1,13 @@
 """Infix Form Genetic Programming: unconstrained integer genomes decoded by a
 modulo-driven state machine into valid infix expressions, repaired at the end
-when the raw translation stops mid-expression.  Every sub-expression of the
-parsed tree is a candidate solution.
+when the raw translation stops mid-expression.  Every sub-expression is a
+candidate solution; ``decode`` lists them as post-order rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     OP_SYMBOLS,
@@ -19,13 +19,8 @@ from .core import (
     evaluate_rows,
 )
 
-_START = "start"
-_VARIABLE = "variable"
-_OPERATOR = "operator"
-_OPEN = "open"
-_CLOSE = "close"
-
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_SYNTAX = {"(", ")", *_PRECEDENCE}  # every token that is not a terminal
 
 
 @dataclass(frozen=True)
@@ -39,23 +34,9 @@ class IfgpChromosome:
 
 
 @dataclass
-class Var:
-    name: str
-    parens: int = 0
-
-
-@dataclass
-class Bin:
-    op: str  # display symbol: + - * /
-    left: "Var | Bin"
-    right: "Var | Bin"
-    parens: int = 0
-
-
-@dataclass
 class InfixExpression:
     """A decoded chromosome: its tokens and the post-order rows ``(op, a, b)``
-    of its tree (``op is None`` marks terminal ``a``), root last."""
+    of its sub-expressions (``op is None`` marks terminal ``a``), root last."""
 
     tokens: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -64,15 +45,12 @@ class InfixExpression:
     def text(self) -> str:
         return "".join(self.tokens)
 
-    @cached_property
-    def root(self) -> Var | Bin:
-        """The parse tree, built on first use; evaluation never needs it."""
-        return _parse(self.tokens)
 
-    @cached_property
-    def nodes(self) -> list[Var | Bin]:
-        """Tree nodes in post-order: node i is row i."""
-        return list(_postorder(self.root))
+class Subexpression(NamedTuple):
+    """Row ``row`` of a decoded expression: one candidate solution."""
+
+    expr: InfixExpression
+    row: int
 
 
 def validate_chromosome(chrom: IfgpChromosome, prims: PrimitiveSet) -> None:
@@ -87,16 +65,6 @@ def random_chromosome(length: int, prims: PrimitiveSet, rng: RandomSource) -> If
     if length < 2:
         raise ValueError("chromosome length must be at least 2")
     return IfgpChromosome(tuple(rng.randint(prims.num_symbols) for _ in range(length)))
-
-
-def _classify(symbol: str) -> str:
-    if symbol == "(":
-        return _OPEN
-    if symbol == ")":
-        return _CLOSE
-    if symbol in SYMBOL_OPS:
-        return _OPERATOR
-    return _VARIABLE
 
 
 def decode(chrom: IfgpChromosome, prims: PrimitiveSet) -> InfixExpression:
@@ -171,104 +139,53 @@ def decode(chrom: IfgpChromosome, prims: PrimitiveSet) -> InfixExpression:
     return InfixExpression(tuple(tokens), tuple(rows))
 
 
-def validate_tokens(tokens, prims: PrimitiveSet) -> None:
-    """Raise ValueError unless the token list is category-legal and balanced."""
-    prev = _START
-    surplus = 0
-    for i, tok in enumerate(tokens):
-        cat = _classify(tok)
-        if cat == _VARIABLE and tok not in prims.terminals:
-            raise ValueError(f"token {i}: unknown symbol {tok!r}")
-        if prev in (_START, _OPERATOR, _OPEN):
-            allowed = (_VARIABLE, _OPEN)
-        else:
-            allowed = (_OPERATOR, _CLOSE) if surplus > 0 else (_OPERATOR,)
-        if cat not in allowed:
-            raise ValueError(f"token {i}: {tok!r} not permitted after {prev}")
-        if cat == _OPEN:
-            surplus += 1
-        elif cat == _CLOSE:
-            surplus -= 1
-        prev = cat
-    if surplus != 0:
-        raise ValueError("unbalanced parentheses")
-    if prev not in (_VARIABLE, _CLOSE):
-        raise ValueError("expression ends mid-phrase")
-
-
-def _parse(tokens) -> Var | Bin:
-    """Precedence-climbing parse; explicit parentheses are kept on the nodes
-    so an in-order walk reproduces the token list exactly."""
-    pos = 0
-
-    def parse_expr(min_prec: int):
-        nonlocal pos
-        node = parse_atom()
-        while pos < len(tokens) and tokens[pos] in _PRECEDENCE and _PRECEDENCE[tokens[pos]] >= min_prec:
-            op = tokens[pos]
-            pos += 1
-            node = Bin(op, node, parse_expr(_PRECEDENCE[op] + 1))
-        return node
-
-    def parse_atom():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            node = parse_expr(1)
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError("unbalanced parentheses")
-            pos += 1
-            node.parens += 1
-            return node
-        if tok == ")" or tok in _PRECEDENCE:
-            raise ValueError(f"unexpected token {tok!r}")
-        return Var(tok)
-
-    root = parse_expr(1)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after expression")
-    return root
-
-
-def tokens_of(node: Var | Bin) -> list[str]:
-    """In-order token sequence of a node, explicit parentheses included."""
-    if isinstance(node, Var):
-        body = [node.name]
-    else:
-        body = tokens_of(node.left) + [node.op] + tokens_of(node.right)
-    return ["("] * node.parens + body + [")"] * node.parens
-
-
-def render(node: Var | Bin) -> str:
-    return "".join(tokens_of(node))
-
-
-def canonical(node: Var | Bin) -> str:
-    """Fully parenthesised rendering; ignores stored parentheses so that
-    structurally equal sub-trees compare equal."""
-    if isinstance(node, Var):
-        return node.name
-    return f"({canonical(node.left)}{node.op}{canonical(node.right)})"
-
-
-def _postorder(node):
-    if isinstance(node, Bin):
-        yield from _postorder(node.left)
-        yield from _postorder(node.right)
-    yield node
-
-
-def subexpressions(expr: InfixExpression) -> list[Var | Bin]:
-    """Distinct sub-trees in post-order (first occurrence kept)."""
-    seen = set()
-    out = []
-    for node in expr.nodes:
-        key = canonical(node)
-        if key not in seen:
-            seen.add(key)
-            out.append(node)
+def spans(expr: InfixExpression) -> list[tuple[int, int]]:
+    """Token span ``(start, end)`` of each row, written parentheses included:
+    terminal rows take the terminal tokens in order, an operator row spans its
+    operands, and a span widens while a matched pair of parentheses encloses it."""
+    tokens = expr.tokens
+    close_of, opened = {}, []
+    for p, token in enumerate(tokens):
+        if token == "(":
+            opened.append(p)
+        elif token == ")":
+            close_of[opened.pop()] = p
+    leaves = ((p, p + 1) for p, token in enumerate(tokens) if token not in _SYNTAX)
+    out: list[tuple[int, int]] = []
+    for op, a, b in expr.rows:
+        start, end = next(leaves) if op is None else (out[a][0], out[b][1])
+        while close_of.get(start - 1) == end:
+            start, end = start - 1, end + 1
+        out.append((start, end))
     return out
+
+
+def render(node: Subexpression) -> str:
+    """The candidate's text as written, explicit parentheses included."""
+    start, end = spans(node.expr)[node.row]
+    return "".join(node.expr.tokens[start:end])
+
+
+def _canonical_texts(expr: InfixExpression) -> list[str]:
+    leaves = (token for token in expr.tokens if token not in _SYNTAX)
+    texts: list[str] = []
+    for op, a, b in expr.rows:
+        texts.append(next(leaves) if op is None else f"({texts[a]}{OP_SYMBOLS[op]}{texts[b]})")
+    return texts
+
+
+def canonical(node: Subexpression) -> str:
+    """Fully parenthesised rendering; ignores written parentheses so that
+    structurally equal candidates compare equal."""
+    return _canonical_texts(node.expr)[node.row]
+
+
+def subexpressions(expr: InfixExpression) -> list[Subexpression]:
+    """Distinct candidates in post-order (first occurrence kept)."""
+    first: dict[str, int] = {}
+    for row, text in enumerate(_canonical_texts(expr)):
+        first.setdefault(text, row)
+    return [Subexpression(expr, row) for row in first.values()]
 
 
 def fitness(
@@ -278,10 +195,10 @@ def fitness(
     mode: str = "multi",
 ) -> tuple[float, int]:
     """Chromosome fitness and the post-order row that provided it (the
-    node ``decode(chrom, prims).nodes[row]``).
+    candidate ``Subexpression(decode(chrom, prims), row)``).
 
-    multi: minimum error over every sub-tree; single: the root expression
-    only (SS-IFGP).  Either way every node is evaluated exactly once.
+    multi: minimum error over every sub-expression; single: the root
+    expression only (SS-IFGP).  Either way every row is evaluated exactly once.
     """
     check_mode(mode)
     expr = decode(chrom, prims)

@@ -88,22 +88,6 @@ class LgpTrace:
         return self.table.errors[self.first:]
 
 
-def validate_program(prog: LgpProgram, prims: PrimitiveSet | None = None) -> None:
-    if len(prog) < 1:
-        raise ValueError("program must hold at least one instruction")
-    if not 1 <= prog.num_inputs <= prog.num_registers:
-        raise ValueError("register file must cover the problem inputs")
-    functions = prims.functions if prims is not None else None
-    for i, ins in enumerate(prog.instructions):
-        if not 0 <= ins.dest < prog.num_registers:
-            raise ValueError(f"instruction {i}: destination out of range")
-        if ins.op not in OP_SYMBOLS or (functions is not None and ins.op not in functions):
-            raise ValueError(f"instruction {i}: unknown operator {ins.op!r}")
-        for src in (ins.src1, ins.src2):
-            if isinstance(src, int) and not 0 <= src < prog.num_registers:
-                raise ValueError(f"instruction {i}: source register out of range")
-
-
 def _random_operand(num_registers, rng, constant_rate, constant_range):
     if constant_rate > 0.0 and rng.random() < constant_rate:
         return rng.uniform(*constant_range)

@@ -55,23 +55,6 @@ class MepChromosome:
         return len(self.genes)
 
 
-def validate_chromosome(chrom: MepChromosome, prims: PrimitiveSet) -> None:
-    """Raise ValueError unless every representation invariant holds."""
-    if len(chrom) < 1:
-        raise ValueError("chromosome must hold at least one gene")
-    if not chrom.genes[0].is_terminal:
-        raise ValueError("first gene must encode a terminal")
-    for i, g in enumerate(chrom.genes):
-        if g.is_terminal:
-            if not 0 <= g.arg1 < len(prims.terminals):
-                raise ValueError(f"gene {i}: terminal index {g.arg1} out of range")
-        else:
-            if g.op not in prims.functions:
-                raise ValueError(f"gene {i}: unknown operator {g.op!r}")
-            if not (0 <= g.arg1 < i and 0 <= g.arg2 < i):
-                raise ValueError(f"gene {i}: arguments must point backwards")
-
-
 def _random_gene(position: int, prims: PrimitiveSet, rng: RandomSource) -> MepGene:
     # position 0 is forced to a terminal, so no function/terminal coin there
     if position > 0 and rng.random() < P_FUNCTION:

@@ -78,6 +78,22 @@ def test_run_rejects_nonpositive_numbers(capsys):
     assert "population_size must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--technique", "ifgp", "--length", "1"], None, "ifgp needs chromosome length >= 2"),
+    (["--technique", "lgp", "--pop", "3"], None, "tournament of four"),
+    ([], "technique=gep\n", "unknown technique 'gep'"),
+])
+def test_run_rejects_settings_the_engine_rejects(tmp_path, capsys, argv, config, message):
+    if config:
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(config)
+        argv = argv + ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_with_a_pinned_dataset(tmp_path, capsys):
     xs = np.linspace(1.0, 4.0, 5)
     data = tmp_path / "cases.csv"

