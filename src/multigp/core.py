@@ -7,6 +7,7 @@ operation draws from.
 from __future__ import annotations
 
 import csv
+import struct
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -92,14 +93,15 @@ class RowTable:
     errors: np.ndarray  # (R,)
     error_list: list[float] = field(repr=False, compare=False)
 
-    def best(self, start: int = 0) -> tuple[float, int]:
-        """Lowest error among rows ``start..`` and its row; ties go to the lowest row."""
-        # invalid rows hold +inf, and only a leaf holding NaN (no encoding
-        # passes one) gives a NaN error, so min and the first index of it
-        # pick the row argmin would
-        errs = self.error_list[start:] if start else self.error_list
-        low = min(errs)
-        return low, start + errs.index(low)
+
+def best(errors: list[float], start: int = 0) -> tuple[float, int]:
+    """Lowest error among rows ``start..`` and its row; ties go to the lowest row."""
+    # invalid rows hold +inf, and only a leaf holding NaN (no encoding
+    # passes one) gives a NaN error, so min and the first index of it
+    # pick the row argmin would
+    errs = errors[start:] if start else errors
+    low = min(errs)
+    return low, start + errs.index(low)
 
 
 def _protected_divide(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -125,11 +127,12 @@ def _scratch_rows(count: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return buf, views
 
 
-def _run_rows(rows, leaves, buf, views, ufuncs) -> tuple[list[int], int]:
-    """Write every row into ``buf``; return the divisor rows and the leaf count."""
+def _run_rows(rows, leaves, buf, views, ufuncs, start=0) -> tuple[list[int], int]:
+    """Write every row into ``buf`` from row ``start`` on; return the divisor
+    rows and the leaf count."""
     divisors = []
     leaf_rows = 0
-    for i, (op, a, b) in enumerate(rows):
+    for i, (op, a, b) in enumerate(rows, start):
         if op is None:
             buf[i] = leaves[a]
             leaf_rows += 1
@@ -175,6 +178,106 @@ def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
     valid = np.array(ok)
     errors[~valid] = np.inf
     return RowTable(values, valid, errors, errors.tolist())
+
+
+#: bytes of row values a RowStore holds before it starts over
+ROW_STORE_BYTES = 320 * 1024
+
+_bits = struct.Struct("<d").pack
+
+
+class RowStore:
+    """The rows of one run over one case set, each distinct row computed once.
+
+    Rows are hash-consed to ids: a case input by its input index, a scalar
+    leaf by its bits (so 0.0 and -0.0 differ, and no NaN must equal itself) and
+    an operation row by ``(op, id_a, id_b)``.  A row's value depends only on
+    its structure, so :meth:`errors` gives the errors :func:`evaluate_rows`
+    gives.  New rows are computed as it computes a table: plain ufuncs, one
+    deferred divisor check, a protected recompute of the new rows (every
+    older row is already exact) and one error reduction over their block.
+
+    The operation counter still counts every operation row of every call,
+    the cost the encodings are compared by; ``computed_rows`` counts the
+    operation rows actually computed.  Once the next call might not fit in
+    ``budget`` bytes of values, the store forgets every row, which cannot
+    change a result.
+    """
+
+    def __init__(self, cases: "FitnessCaseSet", budget: int = ROW_STORE_BYTES):
+        self._inputs = cases.inputs.T
+        self._targets = cases.targets
+        self._n = cases.n
+        self._buf = np.empty((max(budget // (8 * cases.n), 1), cases.n))
+        self._views = list(self._buf)
+        self._ids: dict = {}
+        self._errors: list[float] = []
+        self._valid: list[bool] = []
+        self.computed_rows = 0
+
+    def _clear(self, count: int) -> None:
+        self._ids.clear()
+        self._errors.clear()
+        self._valid.clear()
+        if count > len(self._views):
+            self._buf = np.empty((count, self._n))
+            self._views = list(self._buf)
+
+    def errors(self, rows, leaves=None) -> list[float]:
+        """Error of each of the post-order rows ``(op, a, b)``, as a list.
+
+        A leaf row reads ``leaves[a]``: an int is a case input's index, a
+        float a scalar.  Without ``leaves``, ``a`` is the input index.
+        """
+        global _ops_applied
+        ids = self._ids
+        if len(ids) + len(rows) > len(self._views):
+            self._clear(len(rows))
+        start = len(ids)
+        local: list[int] = []
+        new: list[tuple] = []
+        fresh: list = []
+        leaf_rows = 0
+        for op, a, b in rows:
+            if op is None:
+                leaf_rows += 1
+                leaf = a if leaves is None else leaves[a]
+                key = leaf if type(leaf) is int else _bits(leaf)
+            else:
+                key = (op, local[a], local[b])
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = start + len(new)
+                if op is None:
+                    new.append((None, len(fresh), 0))
+                    fresh.append(self._inputs[leaf] if type(leaf) is int else leaf)
+                else:
+                    new.append(key)
+            local.append(i)
+        _ops_applied += (len(rows) - leaf_rows) * self._n
+        if new:
+            self._compute(start, new, fresh)
+        errors = self._errors
+        return [errors[i] for i in local]
+
+    def _compute(self, start: int, new: list[tuple], fresh: list) -> None:
+        buf, views = self._buf, self._views
+        with np.errstate(all="ignore"):
+            divisors, leaf_rows = _run_rows(new, fresh, buf, views, _PLAIN, start)
+            if divisors and np.fmin.reduce(np.abs(buf.take(divisors, 0)), None) < DIV_EPSILON:
+                _run_rows(new, fresh, buf, views, _PROTECTED, start)
+            block = buf[start:start + len(new)]
+            errors = np.add.reduce(np.abs(block - self._targets), 1).tolist()
+        self.computed_rows += len(new) - leaf_rows
+        # as in evaluate_rows, a finite error sum means every new row is finite
+        finite = None if sum(errors) < np.inf else np.isfinite(block).all(axis=1).tolist()
+        valid = self._valid
+        for j, (op, a, b) in enumerate(new):
+            ok = op is None or (valid[a] and valid[b] and (finite is None or finite[j]))
+            valid.append(ok)
+            if not ok:
+                errors[j] = np.inf
+        self._errors += errors
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import ifgp, lgp, mep
-from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, check_mode, check_settings  # noqa: F401 (MODES re-exported)
+from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, RowStore, check_mode, check_settings  # noqa: F401 (MODES re-exported)
 
 #: a run succeeds when its final best fitness falls below this
 SUCCESS_THRESHOLD = 0.01
@@ -62,16 +62,19 @@ class RunResult:
 
 
 def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
+    """The run's operations; ``evaluate`` goes through one RowStore per run,
+    ``describe`` through the store-free fitness."""
     cfg.validate()
     prims = PrimitiveSet.for_inputs(cases.num_inputs)
     length, mode, muts = cfg.chromosome_length, cfg.mode, cfg.mutations
+    store = RowStore(cases)
 
     if cfg.technique == "mep":
         return Toolbox(
             spawn=lambda rng: mep.random_chromosome(length, prims, rng),
             crossover=mep.crossover_uniform,
             mutate=lambda c, rng: mep.mutate(c, muts, prims, rng),
-            evaluate=lambda c: mep.fitness(c, cases, mode)[0],
+            evaluate=lambda c: mep.fitness(c, cases, mode, store)[0],
             describe=lambda c: mep.expression(c, mep.fitness(c, cases, mode)[1], prims),
         )
     if cfg.technique == "lgp":
@@ -80,14 +83,14 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
             spawn=lambda rng: lgp.random_program(length, registers, cases.num_inputs, prims, rng),
             crossover=lgp.crossover_uniform,
             mutate=lambda p, rng: lgp.mutate(p, muts, prims, rng),
-            evaluate=lambda p: lgp.fitness(p, cases, mode)[0],
+            evaluate=lambda p: lgp.fitness(p, cases, mode, store)[0],
             describe=lambda p: _describe_program(p, cases, mode),
         )
     return Toolbox(
         spawn=lambda rng: ifgp.random_chromosome(length, prims, rng),
         crossover=ifgp.crossover_two_point,
         mutate=lambda c, rng: ifgp.mutate(c, muts, prims, rng),
-        evaluate=lambda c: ifgp.fitness(c, cases, prims, mode)[0],
+        evaluate=lambda c: ifgp.fitness(c, cases, prims, mode, store)[0],
         describe=lambda c: _describe_infix(c, cases, prims, mode),
     )
 

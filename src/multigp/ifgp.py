@@ -15,6 +15,8 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
+    RowStore,
+    best,
     check_mode,
     evaluate_rows,
 )
@@ -193,19 +195,24 @@ def fitness(
     cases: FitnessCaseSet,
     prims: PrimitiveSet,
     mode: str = "multi",
+    store: RowStore | None = None,
 ) -> tuple[float, int]:
     """Chromosome fitness and the post-order row that provided it (the
     candidate ``Subexpression(decode(chrom, prims), row)``).
 
     multi: minimum error over every sub-expression; single: the root
-    expression only (SS-IFGP).  Either way every row is evaluated exactly once.
+    expression only (SS-IFGP).  Either way every row is evaluated exactly
+    once, or through a run's ``store`` once per run.
     """
     check_mode(mode)
     expr = decode(chrom, prims)
-    table = evaluate_rows(expr.rows, cases.inputs.T, cases)
+    if store is None:
+        errors = evaluate_rows(expr.rows, cases.inputs.T, cases).error_list
+    else:
+        errors = store.errors(expr.rows)
     if mode == "single":
-        return float(table.errors[-1]), len(expr.rows) - 1  # post-order ends at the root
-    return table.best()
+        return errors[-1], len(expr.rows) - 1  # post-order ends at the root
+    return best(errors)
 
 
 def crossover_at(p1: IfgpChromosome, p2: IfgpChromosome, cut1: int, cut2: int) -> tuple[IfgpChromosome, IfgpChromosome]:

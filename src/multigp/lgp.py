@@ -16,7 +16,9 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
+    RowStore,
     RowTable,
+    best,
     check_mode,
     evaluate_rows,
 )
@@ -118,13 +120,15 @@ def random_program(
     return LgpProgram(tuple(instructions), num_registers, num_inputs)
 
 
-def execute(prog: LgpProgram, cases: FitnessCaseSet) -> LgpTrace:
+def execute(prog: LgpProgram, cases: FitnessCaseSet,
+            store: RowStore | None = None) -> LgpTrace | tuple[list[float], int]:
     """Run the program once over all cases, recording every destination write.
 
     Input registers start from the case inputs, supplementary registers from
     ``REGISTER_INIT``.  Each operand reads the row that last wrote its
     register, so a record is valid only if its value is finite and no
-    non-finite value entered its computation through the data flow.
+    non-finite value entered its computation through the data flow.  Through
+    a run's ``store``, only the rows' errors come back, with the output row.
     """
     if prog.num_inputs > cases.num_inputs:
         raise ValueError("program expects more inputs than the case set provides")
@@ -147,7 +151,7 @@ def execute(prog: LgpProgram, cases: FitnessCaseSet) -> LgpTrace:
         last[ins.dest] = len(rows)
         rows.append((ins.op, a, b))
     output = last[0]
-    leaves = [*cases.inputs.T[:inputs], *[REGISTER_INIT] * (registers - inputs), *constants]
+    scalars = [*[REGISTER_INIT] * (registers - inputs), *constants]
     if constants:
         # constant j was numbered -1 - j; its leaf row goes after the
         # register file's, ahead of the instruction rows
@@ -159,10 +163,13 @@ def execute(prog: LgpProgram, cases: FitnessCaseSet) -> LgpTrace:
         rows[registers:] = [(None, k, 0) for k in range(registers, registers + shift)] + [
             (op, moved(a), moved(b)) for op, a, b in rows[registers:]]
         output = moved(output)
-    return LgpTrace(evaluate_rows(rows, leaves, cases), prog, output)
+    if store is not None:
+        return store.errors(rows, [*range(inputs), *scalars]), output
+    return LgpTrace(evaluate_rows(rows, [*cases.inputs.T[:inputs], *scalars], cases), prog, output)
 
 
-def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi") -> tuple[float, int]:
+def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi",
+            store: RowStore | None = None) -> tuple[float, int]:
     """Program fitness plus the trace index that provided it.
 
     single: error of r[0]'s final content (``INITIAL_R0`` if no instruction
@@ -170,12 +177,15 @@ def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi") -> tup
     multi: minimum error over every destination write in the trace.
     """
     check_mode(mode)
-    trace = execute(prog, cases)
-    first = trace.first
+    if store is None:
+        trace = execute(prog, cases)
+        errors, row = trace.table.error_list, trace.output
+    else:
+        errors, row = execute(prog, cases, store)
+    first = len(errors) - len(prog)
     if mode == "single":
-        row = trace.output
-        return float(trace.table.errors[row]), row - first if row >= first else INITIAL_R0
-    fit, row = trace.table.best(first)
+        return errors[row], row - first if row >= first else INITIAL_R0
+    fit, row = best(errors, first)
     return fit, row - first
 
 

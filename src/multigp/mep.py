@@ -13,7 +13,9 @@ from .core import (
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
+    RowStore,
     RowTable,
+    best,
     check_mode,
     evaluate_rows,
 )
@@ -69,27 +71,31 @@ def random_chromosome(length: int, prims: PrimitiveSet, rng: RandomSource) -> Me
     return MepChromosome(tuple(_random_gene(i, prims, rng) for i in range(length)))
 
 
-def decode(chrom: MepChromosome, cases: FitnessCaseSet) -> RowTable:
+def decode(chrom: MepChromosome, cases: FitnessCaseSet, store: RowStore | None = None) -> RowTable | list[float]:
     """Evaluate every encoded expression in a single top-down pass.
 
     Row i holds E_i's outputs over all cases.  A row is valid only if its
     whole dependency cone stayed finite; invalidity propagates to every
-    expression built on top of it.
+    expression built on top of it.  Through a run's ``store``, only the
+    rows' errors come back, as a list.
     """
-    return evaluate_rows(chrom.genes, cases.inputs.T, cases)
+    if store is None:
+        return evaluate_rows(chrom.genes, cases.inputs.T, cases)
+    return store.errors(chrom.genes)
 
 
-def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi") -> tuple[float, int]:
+def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi",
+            store: RowStore | None = None) -> tuple[float, int]:
     """Chromosome fitness and the gene index that provided it.
 
     multi: minimum error over all encoded expressions (ties to the lowest
     gene index).  single: the last gene's expression only, as in SEP.
     """
     check_mode(mode)
-    table = decode(chrom, cases)
+    errors = decode(chrom, cases).error_list if store is None else decode(chrom, cases, store)
     if mode == "single":
-        return float(table.errors[-1]), len(chrom) - 1
-    return table.best()
+        return errors[-1], len(chrom) - 1
+    return best(errors)
 
 
 def crossover_with_mask(p1: MepChromosome, p2: MepChromosome, mask) -> tuple[MepChromosome, MepChromosome]:

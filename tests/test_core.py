@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from multigp.core import (
     DIV_EPSILON,
     INPUT_RANGE,
     OPERATORS,
+    ROW_STORE_BYTES,
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
+    RowStore,
+    best,
     evaluate_rows,
     make_problem,
     ops_applied,
@@ -193,8 +197,8 @@ def test_evaluate_rows_by_hand():
     assert table.valid.tolist() == [True, True, True]
     # |1-2| + |2-2| + |3-2|, |1-2| + |4-2| + |9-2|, |0-2| + |2-2| + |6-2|
     assert table.errors.tolist() == [2.0, 10.0, 6.0]
-    assert table.best() == (2.0, 0)
-    assert table.best(1) == (6.0, 2)
+    assert best(table.error_list) == (2.0, 0)
+    assert best(table.error_list, 1) == (6.0, 2)
 
 
 def test_evaluate_rows_taints_every_row_built_on_an_invalid_one():
@@ -257,7 +261,7 @@ def _assert_matches_reference(rows, leaves, cases):
     nan_rows = np.flatnonzero(np.isnan(errors)).tolist()
     assert all(rows[i][0] is None for i in nan_rows)
     for start in range(max(nan_rows, default=-1) + 1, len(rows)):
-        assert table.best(start) == _reference_best(errors, start)
+        assert best(table.error_list, start) == _reference_best(errors, start)
     return table
 
 
@@ -313,6 +317,111 @@ def test_consecutive_tables_keep_their_own_values():
     assert first.values.tobytes() == kept.tobytes()
     assert second.values.tolist() == [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [4.0, 8.0, 12.0]]
     assert not np.shares_memory(first.values, second.values)
+
+
+# --- the run-scoped row store ---
+
+_STORE_SCALARS = [0.0, -0.0, DIV_EPSILON, -DIV_EPSILON,
+                  math.nextafter(DIV_EPSILON, 0.0), -math.nextafter(DIV_EPSILON, 0.0),
+                  math.nextafter(DIV_EPSILON, 1.0), -math.nextafter(DIV_EPSILON, 1.0),
+                  1e300, -1e300]
+
+
+def _assert_store_matches_evaluate_rows(store, rows, leaves, cases):
+    """``leaves`` as the store reads them: an int is a case input's index."""
+    values = [cases.inputs.T[k] if type(k) is int else k for k in leaves]
+    reset_ops()
+    table = evaluate_rows(rows, values, cases)
+    ops = ops_applied()
+    reset_ops()
+    computed = store.computed_rows
+    errors = store.errors(rows, leaves)
+    assert ops_applied() == ops
+    reset_ops()
+    assert struct.pack(f"<{len(errors)}d", *errors) == table.errors.tobytes()
+    return store.computed_rows - computed
+
+
+@st.composite
+def _store_programs(draw):
+    """Several row programs over one case set and one leaf set, each later one
+    starting from a prefix of an earlier one so that they share rows."""
+    n = draw(st.sampled_from([1, 2, 3, 5, CASES_PER_PROBLEM]))
+    inputs = draw(st.integers(1, 3))
+    cases = make_cases(
+        draw(st.lists(st.lists(finite_doubles, min_size=inputs, max_size=inputs),
+                      min_size=n, max_size=n)),
+        draw(st.lists(finite_doubles, min_size=n, max_size=n)))
+    scalars = st.one_of(st.sampled_from(_STORE_SCALARS), _LEAF_VALUES)
+    leaves = draw(st.lists(st.one_of(st.integers(0, inputs - 1), scalars), min_size=1, max_size=5))
+    programs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if programs:
+            earlier = draw(st.sampled_from(programs))
+            rows = earlier[:draw(st.integers(1, len(earlier)))]
+        else:
+            rows = [(None, draw(st.integers(0, len(leaves) - 1)), 0)]
+        for i in range(len(rows), len(rows) + draw(st.integers(0, 20))):
+            if draw(st.integers(0, 3)) == 0:
+                rows.append((None, draw(st.integers(0, len(leaves) - 1)), 0))
+            else:
+                rows.append((draw(st.sampled_from(OPERATORS)),
+                             draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))))
+        programs.append(rows)
+    budget = draw(st.sampled_from([ROW_STORE_BYTES, 8 * 8 * n, 0]))
+    return cases, leaves, programs, budget
+
+
+@given(_store_programs())
+@settings(max_examples=500, deadline=None)
+def test_row_store_gives_the_errors_evaluate_rows_gives(program):
+    cases, leaves, programs, budget = program
+    store = RowStore(cases, budget)
+    for rows in programs:
+        _assert_store_matches_evaluate_rows(store, rows, leaves, cases)
+    if budget == ROW_STORE_BYTES:
+        # the store forgot nothing, so the last program computes no row again
+        assert _assert_store_matches_evaluate_rows(store, programs[-1], leaves, cases) == 0
+
+
+def test_row_store_computes_a_block_of_one_new_row():
+    cases = make_cases([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+    store = RowStore(cases)
+    rows = [(None, 0, 0), (None, 1, 0), ("mul", 0, 1), ("sub", 2, 0)]
+    assert _assert_store_matches_evaluate_rows(store, rows, [0, -0.0], cases) == 2
+    rows.append(("add", 3, 2))
+    assert _assert_store_matches_evaluate_rows(store, rows, [0, -0.0], cases) == 1
+
+
+def test_row_store_keys_scalar_leaves_by_their_bits():
+    cases = make_cases([1.0, 2.0], [0.0, 0.0])
+    store = RowStore(cases)
+    rows = [(None, 0, 0), (None, 1, 0), ("div", 0, 1), ("add", 1, 2)]
+    quiet, payload = struct.unpack("<2d", bytes.fromhex("000000000000f87f" "010000000000f87f"))
+    for scalar, computed in [(-0.0, 2), (0.0, 2), (-0.0, 0), (quiet, 2), (payload, 2), (-quiet, 2)]:
+        assert _assert_store_matches_evaluate_rows(store, rows, [0, scalar], cases) == computed
+
+
+def test_row_store_recomputes_only_its_new_rows_under_the_protected_rule():
+    cases = make_cases([1.0, 2.0], [1.0, 0.0])
+    small = math.nextafter(DIV_EPSILON, 0.0)
+    store = RowStore(cases)
+    rows = [(None, 0, 0), (None, 1, 0), ("sub", 0, 1), ("mul", 2, 2)]
+    assert _assert_store_matches_evaluate_rows(store, rows, [0, small], cases) == 2
+    # the only new row divides by the small leaf, so it is recomputed alone
+    assert _assert_store_matches_evaluate_rows(store, rows + [("div", 3, 1)], [0, small], cases) == 1
+    # x / small is 1.0 on every case, against targets 1 and 0
+    assert store.errors([(None, 0, 0), (None, 1, 0), ("div", 0, 1)], [0, small])[-1] == 1.0
+
+
+def test_row_store_never_holds_less_than_one_call():
+    cases = make_cases([1.0, 2.0], [0.0, 0.0])
+    store = RowStore(cases, budget=1)
+    rows = [(None, 0, 0)] + [("add", i, i) for i in range(30)]
+    errors = store.errors(rows)
+    assert errors[-1] == 3.0 * 2.0 ** 30
+    assert store.errors(rows) == errors
+    assert store.computed_rows == 60
 
 
 # --- deterministic random source ---

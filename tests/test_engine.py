@@ -1,9 +1,11 @@
+import dataclasses
+import functools
 import math
 
 import pytest
 
-from multigp import engine
-from multigp.core import RandomSource, make_problem
+from multigp import engine, ifgp, lgp, mep
+from multigp.core import ROW_STORE_BYTES, PrimitiveSet, RandomSource, RowStore, make_problem, ops_applied
 from multigp.engine import (
     MODES,
     SUCCESS_THRESHOLD,
@@ -16,6 +18,7 @@ from multigp.engine import (
     make_toolbox,
     run_evolution,
 )
+from multigp.harness import VARIANTS
 
 from conftest import StubRandom
 
@@ -319,3 +322,87 @@ def test_lgp_description_names_the_output_register():
     tb = make_toolbox(EvolutionConfig("lgp", 8, mode="single"), cases)
     text = tb.describe(tb.spawn(RandomSource(10)))
     assert "output: r[" in text
+
+
+# --- the run's row store against the store-free fitness ---
+
+STORE_LENGTHS = {"mep": 12, "lgp": 12, "ifgp": 20}
+
+
+def _fitness(technique, cases, mode, store=None):
+    """The encoding's fitness as the toolbox calls it, optionally through a store."""
+    prims = PrimitiveSet.for_inputs(cases.num_inputs)
+    if technique == "mep":
+        return lambda c: mep.fitness(c, cases, mode, store)
+    if technique == "lgp":
+        return lambda c: lgp.fitness(c, cases, mode, store)
+    return lambda c: ifgp.fitness(c, cases, prims, mode, store)
+
+
+class CountingStore(RowStore):
+    """RowStore that counts how often it starts over."""
+
+    clears = 0
+
+    def _clear(self, count):
+        CountingStore.clears += 1
+        super()._clear(count)
+
+
+# the usual size; 24 rows of 20 cases, so the store starts over every few
+# evaluations; and less than one chromosome's rows, so it grows to one
+# chromosome and starts over on nearly every evaluation
+@pytest.mark.parametrize("budget", [ROW_STORE_BYTES, 24 * 8 * 20, 0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_evaluation_through_the_store_matches_the_store_free_fitness(monkeypatch, variant, budget):
+    technique, mode = VARIANTS[variant]
+    monkeypatch.setattr(CountingStore, "clears", 0)
+    monkeypatch.setattr(engine, "RowStore", functools.partial(CountingStore, budget=budget))
+    checked = []
+
+    def checked_toolbox(cfg, cases):
+        box = make_toolbox(cfg, cases)
+        pure = _fitness(technique, cases, mode)
+
+        def evaluate(chrom):
+            ops0 = ops_applied()
+            got = box.evaluate(chrom)
+            ops1 = ops_applied()
+            want = pure(chrom)[0]
+            assert got.hex() == want.hex()
+            assert ops1 - ops0 == ops_applied() - ops1 > 0
+            checked.append(got)
+            return got
+
+        return dataclasses.replace(box, evaluate=evaluate)
+
+    monkeypatch.setattr(engine, "make_toolbox", checked_toolbox)
+    for seed, problem in ((31, "f1"), (32, "f3")):
+        rng = RandomSource(seed)
+        cases = make_problem(problem, rng)
+        cfg = EvolutionConfig(technique, STORE_LENGTHS[technique], mode, population_size=12, generations=10)
+        run_evolution(cfg, cases, rng)
+    assert len(checked) == 2 * (12 + 10 * 12)
+    assert (CountingStore.clears > 50) is (budget < ROW_STORE_BYTES)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_re_evaluation_computes_no_row_but_counts_every_operation(technique):
+    cases = make_problem("f2", RandomSource(41))
+    store = RowStore(cases)
+    through_store = _fitness(technique, cases, "multi", store)
+    pure = _fitness(technique, cases, "multi")
+    rng = RandomSource(42)
+    box = make_toolbox(EvolutionConfig(technique, STORE_LENGTHS[technique]), cases)
+    chrom = box.spawn(rng)
+    ops0 = ops_applied()
+    first = through_store(chrom)
+    computed = store.computed_rows
+    ops1 = ops_applied()
+    again = through_store(chrom)
+    ops2 = ops_applied()
+    assert pure(chrom) == first == again
+    nominal = ops_applied() - ops2
+    assert nominal > 0 and ops1 - ops0 == ops2 - ops1 == nominal
+    assert 0 < computed * cases.n <= nominal
+    assert store.computed_rows == computed
