@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multigp import lgp
-from multigp.core import OP_SYMBOLS, PrimitiveSet, RandomSource, ops_applied, reset_ops
+from multigp.core import MODES, OP_SYMBOLS, PrimitiveSet, RandomSource, RowStore, ops_applied, reset_ops
 from multigp.lgp import (
     INITIAL_R0,
     REGISTER_INIT,
@@ -182,6 +182,21 @@ def test_execute_matches_prefix_reexecution_oracle():
         assert got == oracle_fitness_multi(prog, cases)
         r0_writes = [i for i, ins in enumerate(prog.instructions) if ins.dest == 0]
         assert trace.output == (trace.first + r0_writes[-1] if r0_writes else 0)
+
+
+def test_fitness_through_a_row_store_matches_with_constants_and_two_inputs():
+    rng = RandomSource(501)
+    cases = make_cases([[rng.uniform(0, 10), rng.uniform(0, 10)] for _ in range(5)],
+                       [rng.uniform(0, 10) for _ in range(5)])
+    store = RowStore(cases)
+    prims = PrimitiveSet.for_inputs(2)
+    for trial in range(300):
+        # every third program's constants are all 0.0, so programs share
+        # constant rows, and some divide by zero
+        prog = random_program(1 + rng.randint(12), 6, 2, prims, rng, constant_rate=0.3,
+                              constant_range=(0.0, 2.0 * (trial % 3)))
+        for mode in MODES:
+            assert fitness(prog, cases, mode, store) == fitness(prog, cases, mode)
 
 
 def test_register_taint_propagates_through_data_flow():
