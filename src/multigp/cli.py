@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import MODES, TARGET_FUNCTIONS, check_mode, check_settings, read_cases_csv
@@ -32,7 +32,7 @@ from .harness import (
     emit_plot,
     parse_csv,
     preset_sweep_specs,
-    run_one,
+    run,
     run_sweep,
     variant_pair,
     write_csv,
@@ -78,12 +78,12 @@ class CliConfig:
     problem: str = "f1"
     mode: str = "multi"
     chromosome_length: int = 20
-    population_size: int = 50
+    population_size: int = EvolutionConfig.population_size
     seed: int = 1
     runs: int = 100
-    generations: int = 51
-    crossover_probability: float = 0.9
-    mutations: int = 2
+    generations: int = EvolutionConfig.generations
+    crossover_probability: float = EvolutionConfig.crossover_probability
+    mutations: int = EvolutionConfig.mutations
     jobs: int = 1
     param: str = "chromosome_length"
     values: tuple[int, ...] | None = None
@@ -100,8 +100,12 @@ class CliConfig:
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
         if self.subcommand == "run":  # sweep and paper check each point's settings
-            EvolutionConfig(self.technique, self.chromosome_length, self.mode, self.population_size,
-                            self.generations, self.crossover_probability, self.mutations).validate()
+            self.run_config().validate()
+
+    def run_config(self) -> EvolutionConfig:
+        """The engine settings of ``run``."""
+        return EvolutionConfig(self.technique, self.chromosome_length, self.mode, self.population_size,
+                               self.generations, self.crossover_probability, self.mutations)
 
 
 def _echo_config(cfg: CliConfig) -> None:
@@ -180,11 +184,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--technique", choices=TECHNIQUES, default="mep")
         p.add_argument("--problem", default="f1")
         p.add_argument("--length", dest="chromosome_length", type=int, default=20)
-        p.add_argument("--pop", dest="population_size", type=int, default=50)
+        p.add_argument("--pop", dest="population_size", type=int,
+                       default=EvolutionConfig.population_size)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--generations", type=int, default=51)
-        p.add_argument("--crossover", dest="crossover_probability", type=float, default=0.9)
-        p.add_argument("--mutations", type=int, default=2)
+        p.add_argument("--generations", type=int, default=EvolutionConfig.generations)
+        p.add_argument("--crossover", dest="crossover_probability", type=float,
+                       default=EvolutionConfig.crossover_probability)
+        p.add_argument("--mutations", type=int, default=EvolutionConfig.mutations)
         p.add_argument("--dataset", default=None, help="pin fitness cases from a CSV file")
 
     run_p = sub.add_parser("run", help="one evolution run")
@@ -239,12 +245,8 @@ def cmd_run(cfg: CliConfig) -> int:
               f"choose from {list(PROBLEM_IDS)}", file=sys.stderr)
         return 2
     variant = variant_pair(cfg.technique)[MODES.index(cfg.mode)]
-    result = run_one(
-        variant, cfg.problem, cfg.chromosome_length, cfg.population_size,
-        cfg.seed, generations=cfg.generations,
-        crossover_probability=cfg.crossover_probability,
-        mutations=cfg.mutations, dataset=cases,
-    )
+    run_cfg = cfg.run_config()
+    result = run(cfg.problem, cfg.seed, run_cfg, cases)
     print(f"final fitness: {result.final_fitness:.6g}")
     print(f"success: {result.success}")
     print("best expression:")
@@ -253,15 +255,9 @@ def cmd_run(cfg: CliConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / f"run-{variant}-{cfg.problem}-seed{cfg.seed}.json"
     log = {
+        **asdict(run_cfg),
         "variant": variant,
-        "technique": cfg.technique,
-        "mode": cfg.mode,
         "problem": cfg.problem,
-        "chromosome_length": cfg.chromosome_length,
-        "population_size": cfg.population_size,
-        "generations": cfg.generations,
-        "crossover_probability": cfg.crossover_probability,
-        "mutations": cfg.mutations,
         "seed": cfg.seed,
         "dataset": cfg.dataset,
         "final_fitness": result.final_fitness,

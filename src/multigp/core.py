@@ -112,22 +112,8 @@ def _protected_divide(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 _PLAIN = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 _PROTECTED = {**_PLAIN, "div": _protected_divide}
 
-#: per case count, a (rows, n) scratch buffer and the list of its row views;
-#: grown on demand.  Shared by every call, so evaluation is not thread-safe
-#: (nor is the operation counter).
-_scratch: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
-
-def _scratch_rows(count: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    buf, views = _scratch.get(n, (None, []))
-    if len(views) < count:
-        buf = np.empty((max(count, 2 * len(views), 64), n))
-        views = list(buf)
-        _scratch[n] = buf, views
-    return buf, views
-
-
-def _run_rows(rows, leaves, buf, views, ufuncs, start=0) -> tuple[list[int], int]:
+def _run_rows(rows, leaves, buf, views, ufuncs, start) -> tuple[list[int], int]:
     """Write every row into ``buf`` from row ``start`` on; return the divisor
     rows and the leaf count."""
     divisors = []
@@ -143,6 +129,35 @@ def _run_rows(rows, leaves, buf, views, ufuncs, start=0) -> tuple[list[int], int
     return divisors, leaf_rows
 
 
+def _evaluate_block(rows, leaves, buf, views, start, valid, targets) -> tuple[list[float], int]:
+    """Compute ``rows`` into ``buf`` from row ``start`` on, over rows
+    ``0..start-1`` already there and exact; return the block's errors and its
+    leaf count.
+
+    ``valid`` holds the validity of the rows before ``start``; the block's
+    validity is appended to it.  Invalidity propagates from a row to every row
+    built on top of it, and an invalid row's error is +inf.
+    """
+    with np.errstate(all="ignore"):
+        divisors, leaf_rows = _run_rows(rows, leaves, buf, views, _PLAIN, start)
+        # rows are written once, so at the first division whose divisor is
+        # small every earlier row is exact and this check sees that divisor.
+        # fmin skips NaN; a plain min would let one NaN divisor hide a zero.
+        if divisors and np.fmin.reduce(np.abs(buf.take(divisors, 0)), None) < DIV_EPSILON:
+            _run_rows(rows, leaves, buf, views, _PROTECTED, start)
+        block = buf[start:start + len(rows)]
+        errors = np.add.reduce(np.abs(block - targets), 1).tolist()
+    # a non-finite value makes its row's error, and so the sum, non-finite:
+    # a finite sum clears the whole block at once
+    finite = None if sum(errors) < np.inf else np.isfinite(block).all(axis=1).tolist()
+    for j, (op, a, b) in enumerate(rows):
+        ok = op is None or (valid[a] and valid[b] and (finite is None or finite[j]))
+        valid.append(ok)
+        if not ok:
+            errors[j] = np.inf
+    return errors, leaf_rows
+
+
 def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
     """Run post-order rows ``(op, a, b)`` once over all cases.
 
@@ -151,33 +166,11 @@ def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
     Invalidity propagates from a row to every row built on top of it.
     """
     global _ops_applied
-    count, n = len(rows), cases.n
-    buf, views = _scratch_rows(count, n)
-    with np.errstate(all="ignore"):
-        divisors, leaf_rows = _run_rows(rows, leaves, buf, views, _PLAIN)
-        # rows are written once, so at the first division whose divisor is
-        # small every earlier row is exact and this check sees that divisor.
-        # fmin skips NaN; a plain min would let one NaN divisor hide a zero.
-        if divisors and np.fmin.reduce(np.abs(buf.take(divisors, 0)), None) < DIV_EPSILON:
-            _run_rows(rows, leaves, buf, views, _PROTECTED)
-        values = buf[:count].copy()
-        errors = np.add.reduce(np.abs(values - cases.targets), 1)
-    _ops_applied += (count - leaf_rows) * n
-    error_list = errors.tolist()
-    # a non-finite value makes its row's error, and so the sum, non-finite:
-    # a finite sum clears the whole table at once
-    if sum(error_list) < np.inf:
-        return RowTable(values, np.ones(count, dtype=bool), errors, error_list)
-    valid = np.isfinite(values).all(axis=1)
-    ok = valid.tolist()
-    for i, (op, a, b) in enumerate(rows):
-        if op is None:
-            ok[i] = True
-        elif not (ok[a] and ok[b]):
-            ok[i] = False
-    valid = np.array(ok)
-    errors[~valid] = np.inf
-    return RowTable(values, valid, errors, errors.tolist())
+    values = np.empty((len(rows), cases.n))
+    valid: list[bool] = []
+    errors, leaf_rows = _evaluate_block(rows, leaves, values, list(values), 0, valid, cases.targets)
+    _ops_applied += (len(rows) - leaf_rows) * cases.n
+    return RowTable(values, np.array(valid, dtype=bool), np.array(errors), errors)
 
 
 #: bytes of row values a RowStore holds before it starts over
@@ -193,9 +186,10 @@ class RowStore:
     leaf by its bits (so 0.0 and -0.0 differ, and no NaN must equal itself) and
     an operation row by ``(op, id_a, id_b)``.  A row's value depends only on
     its structure, so :meth:`errors` gives the errors :func:`evaluate_rows`
-    gives.  New rows are computed as it computes a table: plain ufuncs, one
-    deferred divisor check, a protected recompute of the new rows (every
-    older row is already exact) and one error reduction over their block.
+    gives.  The new rows of a call are computed as one block, by the function
+    that computes :func:`evaluate_rows`' table: plain ufuncs, one deferred
+    divisor check, a protected recompute of the block (every older row is
+    already exact) and one error reduction over it.
 
     The operation counter still counts every operation row of every call,
     the cost the encodings are compared by; ``computed_rows`` counts the
@@ -261,22 +255,9 @@ class RowStore:
         return [errors[i] for i in local]
 
     def _compute(self, start: int, new: list[tuple], fresh: list) -> None:
-        buf, views = self._buf, self._views
-        with np.errstate(all="ignore"):
-            divisors, leaf_rows = _run_rows(new, fresh, buf, views, _PLAIN, start)
-            if divisors and np.fmin.reduce(np.abs(buf.take(divisors, 0)), None) < DIV_EPSILON:
-                _run_rows(new, fresh, buf, views, _PROTECTED, start)
-            block = buf[start:start + len(new)]
-            errors = np.add.reduce(np.abs(block - self._targets), 1).tolist()
+        errors, leaf_rows = _evaluate_block(new, fresh, self._buf, self._views, start,
+                                            self._valid, self._targets)
         self.computed_rows += len(new) - leaf_rows
-        # as in evaluate_rows, a finite error sum means every new row is finite
-        finite = None if sum(errors) < np.inf else np.isfinite(block).all(axis=1).tolist()
-        valid = self._valid
-        for j, (op, a, b) in enumerate(new):
-            ok = op is None or (valid[a] and valid[b] and (finite is None or finite[j]))
-            valid.append(ok)
-            if not ok:
-                errors[j] = np.inf
         self._errors += errors
 
 

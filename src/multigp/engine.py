@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import ifgp, lgp, mep
-from .core import MODES, FitnessCaseSet, PrimitiveSet, RandomSource, RowStore, check_mode, check_settings  # noqa: F401 (MODES re-exported)
+from .core import FitnessCaseSet, PrimitiveSet, RandomSource, RowStore, check_mode, check_settings
 
 #: a run succeeds when its final best fitness falls below this
 SUCCESS_THRESHOLD = 0.01

@@ -53,11 +53,11 @@ class SweepSpec:
     values: tuple[int, ...]
     runs: int = 100
     base_seed: int = 0
-    population_size: int = 50
+    population_size: int = EvolutionConfig.population_size
     chromosome_length: int = 20
-    generations: int = 51
-    crossover_probability: float = 0.9
-    mutations: int = 2
+    generations: int = EvolutionConfig.generations
+    crossover_probability: float = EvolutionConfig.crossover_probability
+    mutations: int = EvolutionConfig.mutations
     jobs: int = 1
     dataset: FitnessCaseSet | None = None
 
@@ -71,14 +71,15 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("swept values must be strictly increasing")
         check_settings(self, "runs", "jobs")
-        self.point_config(self.values[0]).validate()  # values are increasing: the smallest point
+        self.point_config(self.values[0], "multi").validate()  # values are increasing: the smallest point
 
-    def point_config(self, value: int) -> EvolutionConfig:
-        """The run settings of the sweep point at ``value`` (either mode)."""
+    def point_config(self, value: int, mode: str) -> EvolutionConfig:
+        """The run settings of the sweep point at ``value`` under ``mode``."""
         sizes = {"chromosome_length": self.chromosome_length,
                  "population_size": self.population_size, self.param: value}
         return EvolutionConfig(
             technique=self.technique,
+            mode=mode,
             generations=self.generations,
             crossover_probability=self.crossover_probability,
             mutations=self.mutations,
@@ -112,41 +113,38 @@ class ExperimentReport:
         self.points = sorted(self.points, key=lambda p: (p.variant, p.problem, p.value))
 
 
+def run(problem: str, seed: int, cfg: EvolutionConfig,
+        dataset: FitnessCaseSet | None = None) -> RunResult:
+    """One evolution run under ``cfg``; cases drawn from the run seed unless a
+    dataset pins them."""
+    rng = RandomSource(seed)
+    cases = dataset if dataset is not None else make_problem(problem, rng)
+    return run_evolution(cfg, cases, rng)
+
+
 def run_one(
     variant: str,
     problem: str,
     chromosome_length: int,
     population_size: int,
     seed: int,
-    generations: int = 51,
-    crossover_probability: float = 0.9,
-    mutations: int = 2,
+    *,
     dataset: FitnessCaseSet | None = None,
+    **settings,
 ) -> RunResult:
-    """One evolution run under a variant label; cases drawn from the run seed
-    unless a dataset pins them."""
+    """One :func:`run` under a variant label; ``settings`` are the remaining
+    :class:`EvolutionConfig` fields (generations, crossover_probability,
+    mutations)."""
     technique, mode = VARIANTS[variant]
-    rng = RandomSource(seed)
-    cases = dataset if dataset is not None else make_problem(problem, rng)
-    cfg = EvolutionConfig(
-        technique=technique,
-        chromosome_length=chromosome_length,
-        mode=mode,
-        population_size=population_size,
-        generations=generations,
-        crossover_probability=crossover_probability,
-        mutations=mutations,
-    )
-    return run_evolution(cfg, cases, rng)
+    cfg = EvolutionConfig(technique, chromosome_length, mode, population_size, **settings)
+    return run(problem, seed, cfg, dataset)
 
 
 def _run_task(task: tuple) -> tuple[int, float, bool, str]:
-    variant, problem, length, population, seed, generations, pc, mutations, dataset = task
-    result = run_one(
-        variant, problem, length, population, seed,
-        generations=generations, crossover_probability=pc,
-        mutations=mutations, dataset=dataset,
-    )
+    """One pool task ``(variant, problem, seed, cfg, dataset)``; the variant
+    only names the task."""
+    _, problem, seed, cfg, dataset = task
+    result = run(problem, seed, cfg, dataset)
     return seed, result.final_fitness, result.success, result.expression
 
 
@@ -162,13 +160,9 @@ def run_sweep(spec: SweepSpec) -> ExperimentReport:
     spec.validate()
     tasks = []
     for variant, value in _point_grid(spec):
-        cfg = spec.point_config(value)
+        cfg = spec.point_config(value, VARIANTS[variant][1])
         for i in range(spec.runs):
-            tasks.append((
-                variant, spec.problem, cfg.chromosome_length, cfg.population_size,
-                spec.base_seed + i, cfg.generations, cfg.crossover_probability, cfg.mutations,
-                spec.dataset,
-            ))
+            tasks.append((variant, spec.problem, spec.base_seed + i, cfg, spec.dataset))
     if spec.jobs > 1:
         with get_context("fork").Pool(spec.jobs) as pool:
             outcomes = pool.map(_run_task, tasks, chunksize=1)
@@ -385,7 +379,7 @@ class PresetExperiment:
     param: str
     values: tuple[int, ...]
     chromosome_length: int = 20
-    population_size: int = 50
+    population_size: int = EvolutionConfig.population_size
 
 
 PRESET_EXPERIMENTS = {

@@ -60,6 +60,29 @@ def test_run_log_bytes_are_reproducible(tmp_path):
            (b / "run-mep-f1-seed3.json").read_bytes()
 
 
+def test_run_log_holds_the_run_settings_and_the_outcome(tmp_path):
+    argv = ["run", "--technique", "lgp", "--mode", "single", "--problem", "f2", "--length", "6",
+            "--pop", "4", "--generations", "2", "--crossover", "0.5", "--mutations", "1",
+            "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    log = json.loads((tmp_path / "run-ss-lgp-f2-seed4.json").read_text())
+    assert sorted(log) == [
+        "best_per_generation", "chromosome_length", "crossover_probability", "dataset",
+        "evaluations", "expression", "final_fitness", "generations", "mode", "mutations",
+        "population_size", "problem", "seed", "success", "technique", "variant",
+    ]
+    assert {k: log[k] for k in ("variant", "technique", "mode", "problem", "chromosome_length",
+                                "population_size", "generations", "crossover_probability",
+                                "mutations", "seed", "dataset", "evaluations")} == {
+        "variant": "ss-lgp", "technique": "lgp", "mode": "single", "problem": "f2",
+        "chromosome_length": 6, "population_size": 4, "generations": 2,
+        "crossover_probability": 0.5, "mutations": 1, "seed": 4, "dataset": None,
+        "evaluations": 4 + 2 * 2 * (4 // 2),
+    }
+    assert len(log["best_per_generation"]) == 2
+    assert log["final_fitness"] == log["best_per_generation"][-1]
+
+
 def test_run_single_mode_gets_the_single_solution_label(tmp_path, capsys):
     code = main(TINY_RUN + ["--mode", "single", "--technique", "lgp",
                             "--out", str(tmp_path)])

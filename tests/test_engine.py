@@ -5,9 +5,8 @@ import math
 import pytest
 
 from multigp import engine, ifgp, lgp, mep
-from multigp.core import ROW_STORE_BYTES, PrimitiveSet, RandomSource, RowStore, make_problem, ops_applied
+from multigp.core import MODES, ROW_STORE_BYTES, PrimitiveSet, RandomSource, RowStore, make_problem, ops_applied
 from multigp.engine import (
-    MODES,
     SUCCESS_THRESHOLD,
     TECHNIQUES,
     EvolutionConfig,

@@ -5,6 +5,7 @@ import pytest
 
 from multigp import harness
 from multigp.core import RandomSource
+from multigp.engine import EvolutionConfig
 from multigp.harness import (
     CSV_HEADER,
     PRESET_EXPERIMENTS,
@@ -96,6 +97,20 @@ def test_run_one_is_deterministic_in_the_seed():
 def test_run_one_rejects_unknown_variant():
     with pytest.raises(KeyError):
         run_one("cgp", "f1", 6, 4, 17)
+
+
+def test_run_one_passes_its_settings_on_to_the_run():
+    got = run_one("ss-lgp", "f2", 6, 4, 18, generations=2, crossover_probability=0.0, mutations=0)
+    cfg = EvolutionConfig("lgp", 6, "single", 4, generations=2, crossover_probability=0.0, mutations=0)
+    assert got == harness.run("f2", 18, cfg)
+    # the settings reached the engine: the defaults give another run
+    assert got != run_one("ss-lgp", "f2", 6, 4, 18, generations=2)
+
+
+@pytest.mark.parametrize("settings", [{"generation": 2}, {"mode": "multi"}])
+def test_run_one_rejects_keywords_that_are_no_remaining_setting(settings):
+    with pytest.raises(TypeError):
+        run_one("mep", "f1", 6, 4, 17, **settings)
 
 
 def test_identity_dataset_is_solved_at_initialisation():
