@@ -104,6 +104,22 @@ def best(errors: list[float], start: int = 0) -> tuple[float, int]:
     return low, start + errs.index(low)
 
 
+def recombine(genes1, genes2, takes) -> tuple[tuple, tuple]:
+    """Uniform recombination in one pass: slot i of the first offspring comes
+    from ``genes1`` where ``takes`` gives True at i, else from ``genes2``, and
+    the second offspring gets the other gene.  ``takes`` is read once a slot
+    exists, so an endless coin stream gives exactly one coin per slot."""
+    o1, o2 = [], []
+    for a, b, take in zip(genes1, genes2, takes):
+        if take:
+            o1.append(a)
+            o2.append(b)
+        else:
+            o1.append(b)
+            o2.append(a)
+    return tuple(o1), tuple(o2)
+
+
 def _protected_divide(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out[...] = vector_apply("div", a, b)
 
@@ -182,40 +198,75 @@ _bits = struct.Struct("<d").pack
 class RowStore:
     """The rows of one run over one case set, each distinct row computed once.
 
-    Rows are hash-consed to ids: a case input by its input index, a scalar
-    leaf by its bits (so 0.0 and -0.0 differ, and no NaN must equal itself) and
-    an operation row by ``(op, id_a, id_b)``.  A row's value depends only on
-    its structure, so :meth:`errors` gives the errors :func:`evaluate_rows`
-    gives.  The new rows of a call are computed as one block, by the function
-    that computes :func:`evaluate_rows`' table: plain ufuncs, one deferred
-    divisor check, a protected recompute of the block (every older row is
-    already exact) and one error reduction over it.
+    Case input k is always row k.  Every other row is hash-consed to an id in
+    ``ids``: a scalar leaf by its bits (so 0.0 and -0.0 differ, and no NaN
+    must equal itself) and an operation row by ``(op, id_a, id_b)``.  A row's
+    value depends only on its structure, so :meth:`errors` gives the errors
+    :func:`evaluate_rows` gives.  The new rows of a call are computed as one
+    block, by the function that computes :func:`evaluate_rows`' table: plain
+    ufuncs, one deferred divisor check, a protected recompute of the block
+    (every older row is already exact) and one error reduction over it.
 
-    The operation counter still counts every operation row of every call,
-    the cost the encodings are compared by; ``computed_rows`` counts the
-    operation rows actually computed.  Once the next call might not fit in
-    ``budget`` bytes of values, the store forgets every row, which cannot
-    change a result.
+    A call makes room with :meth:`reserve`, interns its scalar leaves with
+    :meth:`scalar` and its operation rows into ``ids`` itself, and ends with
+    :meth:`commit`.  The operation counter still counts every operation row
+    of every call, the cost the encodings are compared by; ``computed_rows``
+    counts the operation rows actually computed.  Once the next call might
+    not fit in ``budget`` bytes of values besides the inputs, the store
+    forgets every other row, which cannot change a result.
     """
 
     def __init__(self, cases: "FitnessCaseSet", budget: int = ROW_STORE_BYTES):
         self._inputs = cases.inputs.T
+        self._input_ids = range(len(self._inputs))
         self._targets = cases.targets
         self._n = cases.n
-        self._buf = np.empty((max(budget // (8 * cases.n), 1), cases.n))
-        self._views = list(self._buf)
-        self._ids: dict = {}
+        self._views: list[np.ndarray] = []
+        self.ids: dict = {}
         self._errors: list[float] = []
         self._valid: list[bool] = []
         self.computed_rows = 0
+        self._clear(budget // (8 * cases.n))
 
     def _clear(self, count: int) -> None:
-        self._ids.clear()
+        """Forget every row but the inputs, with room for ``count`` more."""
+        self.ids.clear()
         self._errors.clear()
         self._valid.clear()
-        if count > len(self._views):
-            self._buf = np.empty((count, self._n))
+        inputs = len(self._inputs)
+        if inputs + count > len(self._views):
+            self._buf = np.empty((inputs + count, self._n))
             self._views = list(self._buf)
+        self.commit(0, [(None, k, 0) for k in self._input_ids], self._inputs, 0)
+
+    def reserve(self, count: int) -> int:
+        """Make room for ``count`` new rows; return the id the first one gets."""
+        if len(self._errors) + count > len(self._views):
+            self._clear(count)
+        return len(self._errors)
+
+    def scalar(self, value: float, start: int, new: list, fresh: list) -> int:
+        """Id of the scalar leaf ``value``, queued in ``new`` and ``fresh`` if
+        the store lacks it."""
+        key = _bits(value)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = start + len(new)
+            new.append((None, len(fresh), 0))
+            fresh.append(value)
+        return i
+
+    def commit(self, start: int, new: list, fresh: list, op_rows: int) -> list[float]:
+        """Count a call's ``op_rows`` operation rows and compute its ``new``
+        rows, ids ``start..``; return every row's error, by id."""
+        global _ops_applied
+        _ops_applied += op_rows * self._n
+        if new:
+            errors, leaf_rows = _evaluate_block(new, fresh, self._buf, self._views, start,
+                                                self._valid, self._targets)
+            self.computed_rows += len(new) - leaf_rows
+            self._errors += errors
+        return self._errors
 
     def errors(self, rows, leaves=None) -> list[float]:
         """Error of each of the post-order rows ``(op, a, b)``, as a list.
@@ -223,42 +274,37 @@ class RowStore:
         A leaf row reads ``leaves[a]``: an int is a case input's index, a
         float a scalar.  Without ``leaves``, ``a`` is the input index.
         """
-        global _ops_applied
-        ids = self._ids
-        if len(ids) + len(rows) > len(self._views):
-            self._clear(len(rows))
-        start = len(ids)
-        local: list[int] = []
         new: list[tuple] = []
         fresh: list = []
+        if leaves is None:
+            start = self.reserve(len(rows))
+            leaf_ids = self._input_ids
+        else:
+            start = self.reserve(len(leaves) + len(rows))
+            leaf_ids = [leaf if type(leaf) is int else self.scalar(leaf, start, new, fresh)
+                        for leaf in leaves]
+        ids = self.ids
+        local: list[int] = []
         leaf_rows = 0
         for op, a, b in rows:
             if op is None:
                 leaf_rows += 1
-                leaf = a if leaves is None else leaves[a]
-                key = leaf if type(leaf) is int else _bits(leaf)
+                i = leaf_ids[a]
             else:
                 key = (op, local[a], local[b])
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = start + len(new)
-                if op is None:
-                    new.append((None, len(fresh), 0))
-                    fresh.append(self._inputs[leaf] if type(leaf) is int else leaf)
-                else:
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = start + len(new)
                     new.append(key)
             local.append(i)
-        _ops_applied += (len(rows) - leaf_rows) * self._n
-        if new:
-            self._compute(start, new, fresh)
-        errors = self._errors
+        errors = self.commit(start, new, fresh, len(rows) - leaf_rows)
         return [errors[i] for i in local]
 
-    def _compute(self, start: int, new: list[tuple], fresh: list) -> None:
-        errors, leaf_rows = _evaluate_block(new, fresh, self._buf, self._views, start,
-                                            self._valid, self._targets)
-        self.computed_rows += len(new) - leaf_rows
-        self._errors += errors
+    def table(self, ids: list[int]) -> RowTable:
+        """The rows ``ids``, copied out of the store."""
+        errors = [self._errors[i] for i in ids]
+        valid = np.array([self._valid[i] for i in ids], dtype=bool)
+        return RowTable(self._buf.take(ids, 0), valid, np.array(errors), errors)
 
 
 @dataclass(frozen=True)

@@ -140,11 +140,24 @@ def run_one(
     return run(problem, seed, cfg, dataset)
 
 
+class RunError(RuntimeError):
+    """A sweep's run raised; the message names the run and how to replay it."""
+
+
 def _run_task(task: tuple) -> tuple[int, float, bool, str]:
     """One pool task ``(variant, problem, seed, cfg, dataset)``; the variant
-    only names the task."""
-    _, problem, seed, cfg, dataset = task
-    result = run(problem, seed, cfg, dataset)
+    only names the task, in the error a failing run raises."""
+    variant, problem, seed, cfg, dataset = task
+    try:
+        result = run(problem, seed, cfg, dataset)
+    except Exception as exc:
+        replay = (f"multigp run --technique {cfg.technique} --mode {cfg.mode} --problem {problem} "
+                  f"--seed {seed} --length {cfg.chromosome_length} --pop {cfg.population_size} "
+                  f"--generations {cfg.generations} --crossover {cfg.crossover_probability} "
+                  f"--mutations {cfg.mutations}" + (" --dataset <the sweep's dataset>" if dataset is not None else ""))
+        raise RunError(f"run failed: variant {variant}, problem {problem}, seed {seed}, "
+                       f"length {cfg.chromosome_length}, population {cfg.population_size} "
+                       f"({type(exc).__name__}: {exc}); replay it with: {replay}") from exc
     return seed, result.final_fitness, result.success, result.expression
 
 

@@ -8,6 +8,7 @@ execution cost beyond the single forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .core import (
     RowTable,
     best,
     check_mode,
-    evaluate_rows,
+    recombine,
 )
 
 #: registers added on top of the problem inputs in every LGP run
@@ -33,8 +34,7 @@ REGISTER_INIT = 1.0
 INITIAL_R0 = -1
 
 
-@dataclass(frozen=True)
-class LgpInstruction:
+class LgpInstruction(NamedTuple):
     """``r[dest] = src1 op src2``.
 
     Operands are register indices (int) or literal constants (float); the
@@ -121,51 +121,71 @@ def random_program(
 
 
 def execute(prog: LgpProgram, cases: FitnessCaseSet,
-            store: RowStore | None = None) -> LgpTrace | tuple[list[float], int]:
+            store: RowStore | None = None) -> LgpTrace | tuple[list[float], float]:
     """Run the program once over all cases, recording every destination write.
 
     Input registers start from the case inputs, supplementary registers from
     ``REGISTER_INIT``.  Each operand reads the row that last wrote its
     register, so a record is valid only if its value is finite and no
-    non-finite value entered its computation through the data flow.  Through
-    a run's ``store``, only the rows' errors come back, with the output row.
+    non-finite value entered its computation through the data flow.
+
+    The program lowers straight into a row store: ``last[r]`` is the id of
+    register r's current row, and each instruction interns ``(op, last[src1],
+    last[src2])``.  Through a run's ``store``, the errors of the instruction
+    rows come back, with the error of r[0]'s final row.  Without one, the
+    rows of a fresh store sized to the program are copied out as a trace.
     """
     if prog.num_inputs > cases.num_inputs:
         raise ValueError("program expects more inputs than the case set provides")
     registers, inputs = prog.num_registers, prog.num_inputs
-    rows = [(None, k, 0) for k in range(registers)]
-    last = list(range(registers))
-    constants = []
-    for ins in prog.instructions:
-        a, b = ins.src1, ins.src2
-        if isinstance(a, int):
-            a = last[a]
-        else:
-            constants.append(a)
-            a = -len(constants)
-        if isinstance(b, int):
-            b = last[b]
-        else:
-            constants.append(b)
-            b = -len(constants)
-        last[ins.dest] = len(rows)
-        rows.append((ins.op, a, b))
-    output = last[0]
-    scalars = [*[REGISTER_INIT] * (registers - inputs), *constants]
-    if constants:
-        # constant j was numbered -1 - j; its leaf row goes after the
-        # register file's, ahead of the instruction rows
-        shift = len(constants)
+    count = registers + 3 * len(prog.instructions)  # the most rows one call adds
+    traced = store is None
+    if traced:
+        store = RowStore(cases, 8 * cases.n * count)
+    start = store.reserve(count)
+    ids, scalar = store.ids, store.scalar
+    new: list[tuple] = []
+    fresh: list = []
+    initial = list(range(inputs))  # case input k is the store's row k
+    if registers > inputs:
+        initial += [scalar(REGISTER_INIT, start, new, fresh)] * (registers - inputs)
+    last = initial.copy()
+    constants: list[int] = []
+    local: list[int] = []
+    for dest, op, a, b in prog.instructions:
+        try:
+            key = (op, last[a], last[b])
+        except TypeError:  # a constant operand, a scalar leaf
+            operands = []
+            for src in (a, b):
+                if type(src) is int:
+                    operands.append(last[src])
+                else:
+                    constants.append(scalar(src, start, new, fresh))
+                    operands.append(constants[-1])
+            key = (op, *operands)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = start + len(new)
+            new.append(key)
+        last[dest] = i
+        local.append(i)
+    errors = store.commit(start, new, fresh, len(local))
+    if not traced:
+        return [errors[i] for i in local], errors[last[0]]
+    locus = _output_locus(prog)
+    first = registers + len(constants)
+    return LgpTrace(store.table([*initial, *constants, *local]), prog,
+                    0 if locus == INITIAL_R0 else first + locus)
 
-        def moved(k):
-            return registers + ~k if k < 0 else k + shift if k >= registers else k
 
-        rows[registers:] = [(None, k, 0) for k in range(registers, registers + shift)] + [
-            (op, moved(a), moved(b)) for op, a, b in rows[registers:]]
-        output = moved(output)
-    if store is not None:
-        return store.errors(rows, [*range(inputs), *scalars]), output
-    return LgpTrace(evaluate_rows(rows, [*cases.inputs.T[:inputs], *scalars], cases), prog, output)
+def _output_locus(prog: LgpProgram) -> int:
+    """Index of the last instruction that writes r[0], or ``INITIAL_R0``."""
+    instructions = prog.instructions
+    for j in range(len(instructions) - 1, -1, -1):
+        if instructions[j].dest == 0:
+            return j
+    return INITIAL_R0
 
 
 def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi",
@@ -179,14 +199,26 @@ def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi",
     check_mode(mode)
     if store is None:
         trace = execute(prog, cases)
-        errors, row = trace.table.error_list, trace.output
+        errors = trace.table.error_list
+        errors, output = errors[trace.first:], errors[trace.output]
     else:
-        errors, row = execute(prog, cases, store)
-    first = len(errors) - len(prog)
+        errors, output = execute(prog, cases, store)
     if mode == "single":
-        return errors[row], row - first if row >= first else INITIAL_R0
-    fit, row = best(errors, first)
-    return fit, row - first
+        return output, _output_locus(prog)
+    return best(errors)
+
+
+def _check_parents(p1: LgpProgram, p2: LgpProgram) -> None:
+    if len(p1) != len(p2) or p1.num_registers != p2.num_registers or p1.num_inputs != p2.num_inputs:
+        raise ValueError("parents must share length and register configuration")
+
+
+def _offspring(p1: LgpProgram, p2: LgpProgram, takes) -> tuple[LgpProgram, LgpProgram]:
+    o1, o2 = recombine(p1.instructions, p2.instructions, takes)
+    return (
+        LgpProgram(o1, p1.num_registers, p1.num_inputs),
+        LgpProgram(o2, p1.num_registers, p1.num_inputs),
+    )
 
 
 def crossover_with_mask(p1: LgpProgram, p2: LgpProgram, mask) -> tuple[LgpProgram, LgpProgram]:
@@ -194,24 +226,18 @@ def crossover_with_mask(p1: LgpProgram, p2: LgpProgram, mask) -> tuple[LgpProgra
 
     ``mask[i]`` True means offspring 1 takes instruction slot i from parent 1.
     """
-    if len(p1) != len(p2) or p1.num_registers != p2.num_registers or p1.num_inputs != p2.num_inputs:
-        raise ValueError("parents must share length and register configuration")
+    _check_parents(p1, p2)
     mask = list(mask)
     if len(mask) != len(p1):
         raise ValueError("mask length must match the parents")
-    o1 = tuple(a if take else b for take, a, b in zip(mask, p1.instructions, p2.instructions))
-    o2 = tuple(b if take else a for take, a, b in zip(mask, p1.instructions, p2.instructions))
-    return (
-        LgpProgram(o1, p1.num_registers, p1.num_inputs),
-        LgpProgram(o2, p1.num_registers, p1.num_inputs),
-    )
+    return _offspring(p1, p2, mask)
 
 
 def crossover_uniform(p1: LgpProgram, p2: LgpProgram, rng: RandomSource) -> tuple[LgpProgram, LgpProgram]:
-    if len(p1) != len(p2):
-        raise ValueError("parents must have equal length")
-    mask = [rng.coin() for _ in range(len(p1))]
-    return crossover_with_mask(p1, p2, mask)
+    """Fair-coin uniform recombination, built in one pass (one coin per slot,
+    in order)."""
+    _check_parents(p1, p2)
+    return _offspring(p1, p2, iter(rng.coin, None))
 
 
 def mutate(

@@ -18,6 +18,7 @@ from .core import (
     best,
     check_mode,
     evaluate_rows,
+    recombine,
 )
 
 #: chance that a freshly sampled gene (past position 0) encodes a function
@@ -109,17 +110,17 @@ def crossover_with_mask(p1: MepChromosome, p2: MepChromosome, mask) -> tuple[Mep
     mask = list(mask)
     if len(mask) != len(p1):
         raise ValueError("mask length must match the parents")
-    o1 = tuple(a if take else b for take, a, b in zip(mask, p1.genes, p2.genes))
-    o2 = tuple(b if take else a for take, a, b in zip(mask, p1.genes, p2.genes))
+    o1, o2 = recombine(p1.genes, p2.genes, mask)
     return MepChromosome(o1), MepChromosome(o2)
 
 
 def crossover_uniform(p1: MepChromosome, p2: MepChromosome, rng: RandomSource) -> tuple[MepChromosome, MepChromosome]:
-    """Fair-coin uniform recombination (one coin per position, in order)."""
+    """Fair-coin uniform recombination, built in one pass (one coin per
+    position, in order)."""
     if len(p1) != len(p2):
         raise ValueError("parents must have equal length")
-    mask = [rng.coin() for _ in range(len(p1))]
-    return crossover_with_mask(p1, p2, mask)
+    o1, o2 = recombine(p1.genes, p2.genes, iter(rng.coin, None))
+    return MepChromosome(o1), MepChromosome(o2)
 
 
 def mutate(chrom: MepChromosome, mutations: int, prims: PrimitiveSet, rng: RandomSource) -> MepChromosome:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multigp import harness
+from multigp import cli, harness
 from multigp.core import RandomSource
 from multigp.engine import EvolutionConfig
 from multigp.harness import (
@@ -167,6 +167,31 @@ def test_any_logged_run_replays_in_isolation():
     )
     assert replay.final_fitness == entry["final_fitness"]
     assert replay.expression == entry["expression"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_run_names_itself_and_its_replay(monkeypatch, tmp_path, jobs):
+    real_run = harness.run
+
+    def run(problem, seed, cfg, dataset=None):
+        if seed == 12 and cfg.mode == "single":
+            raise FloatingPointError("injected")
+        return real_run(problem, seed, cfg, dataset)
+
+    # a forked pool worker inherits the patched module
+    monkeypatch.setattr(harness, "run", run)
+    spec = tiny_spec(technique="lgp", values=(4,), runs=3, population_size=5, generations=2, jobs=jobs)
+    with pytest.raises(harness.RunError) as failure:
+        run_sweep(spec)
+    message = str(failure.value)
+    assert message.startswith("run failed: variant ss-lgp, problem f1, seed 12, length 4, population 5 "
+                              "(FloatingPointError: injected)")
+    # the command the message gives replays the run in isolation
+    command = message.split("replay it with: multigp ")[1].split()
+    assert cli.main(command + ["--out", str(tmp_path)]) == 0
+    log = json.loads((tmp_path / "run-ss-lgp-f1-seed12.json").read_text())
+    want = real_run("f1", 12, spec.point_config(4, "single"))
+    assert (log["final_fitness"], log["expression"]) == (want.final_fitness, want.expression)
 
 
 def test_variants_share_the_per_run_seed_and_cases():

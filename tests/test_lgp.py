@@ -1,13 +1,30 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigp import lgp
-from multigp.core import MODES, OP_SYMBOLS, PrimitiveSet, RandomSource, RowStore, ops_applied, reset_ops
+from multigp.core import (
+    DIV_EPSILON,
+    MODES,
+    OP_SYMBOLS,
+    OPERATORS,
+    ROW_STORE_BYTES,
+    PrimitiveSet,
+    RandomSource,
+    RowStore,
+    best,
+    evaluate_rows,
+    ops_applied,
+    reset_ops,
+)
 from multigp.lgp import (
     INITIAL_R0,
     REGISTER_INIT,
+    SUPPLEMENTARY_REGISTERS,
     LgpInstruction,
     LgpProgram,
     crossover_uniform,
@@ -199,6 +216,119 @@ def test_fitness_through_a_row_store_matches_with_constants_and_two_inputs():
             assert fitness(prog, cases, mode, store) == fitness(prog, cases, mode)
 
 
+# --- oracle: the SSA lowering evaluated by evaluate_rows ---
+
+def _ssa_rows(prog):
+    """The program in SSA form, as ``execute`` lowered it before it interned
+    into a row store: a leaf row per register, then per constant operand in
+    order of appearance, then a row per instruction.  Returns the rows, the
+    scalar leaves after the inputs' and the row of r[0]'s final value."""
+    registers = prog.num_registers
+    last = list(range(registers))
+    constants, body = [], []
+    for ins in prog.instructions:
+        operands = []
+        for src in (ins.src1, ins.src2):
+            if isinstance(src, int):
+                operands.append(last[src])
+            else:
+                constants.append(src)
+                operands.append(("constant", len(constants) - 1))
+        last[ins.dest] = ("instruction", len(body))
+        body.append((ins.op, *operands))
+    first = registers + len(constants)
+
+    def row(ref):
+        if isinstance(ref, int):
+            return ref
+        kind, j = ref
+        return registers + j if kind == "constant" else first + j
+
+    rows = [(None, k, 0) for k in range(first)]
+    rows += [(op, row(a), row(b)) for op, a, b in body]
+    scalars = [REGISTER_INIT] * (registers - prog.num_inputs) + constants
+    return rows, scalars, row(last[0])
+
+
+def _reference_execute(prog, cases):
+    """(table, row of r[0], applied operations) from the SSA rows."""
+    rows, scalars, output = _ssa_rows(prog)
+    reset_ops()
+    table = evaluate_rows(rows, [*cases.inputs.T[:prog.num_inputs], *scalars], cases)
+    ops = ops_applied()
+    reset_ops()
+    return table, output, ops
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+_NANS = struct.unpack("<3d", bytes.fromhex("000000000000f87f" "010000000000f87f" "000000000000f8ff"))
+_CONSTANTS = [0.0, -0.0, DIV_EPSILON, -DIV_EPSILON, 1e300, -1e300, *_NANS]
+
+
+@st.composite
+def _program_sequences(draw):
+    """Random programs over one case set, later ones often an earlier one
+    with a few slots redrawn, so that they share rows."""
+    inputs = draw(st.integers(1, 2))
+    registers = inputs + SUPPLEMENTARY_REGISTERS
+    n = draw(st.sampled_from([1, 3, 20]))
+    cases_value = st.floats(-1e6, 1e6, allow_nan=False)
+    cases = make_cases(draw(st.lists(st.lists(cases_value, min_size=inputs, max_size=inputs),
+                                     min_size=n, max_size=n)),
+                       draw(st.lists(cases_value, min_size=n, max_size=n)))
+    register = st.integers(0, registers - 1)
+    operand = st.one_of(register, register, register, st.sampled_from(_CONSTANTS))
+    instruction = st.builds(I, register, st.sampled_from(OPERATORS), operand, operand)
+    programs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if programs and draw(st.booleans()):
+            instructions = list(draw(st.sampled_from(programs)).instructions)
+            for _ in range(draw(st.integers(0, 3))):
+                instructions[draw(st.integers(0, len(instructions) - 1))] = draw(instruction)
+        else:
+            instructions = draw(st.lists(instruction, min_size=1, max_size=40))
+        programs.append(program(*instructions, registers=registers, inputs=inputs))
+    return cases, programs
+
+
+@given(_program_sequences())
+@settings(max_examples=300, deadline=None)
+def test_execute_lowers_into_the_store_as_the_ssa_rows_evaluate(sequence):
+    cases, programs = sequence
+    # one store shared by the whole sequence, and one whose budget holds less
+    # than one program, so that it grows and then clears on most calls
+    stores = [RowStore(cases), RowStore(cases, 0)]
+    for _ in range(2):
+        for prog in programs:
+            table, output, ops = _reference_execute(prog, cases)
+            first = len(table.error_list) - len(prog)
+            trace = execute(prog, cases)
+            assert ops_applied() == ops
+            assert trace.table.values.tobytes() == table.values.tobytes()
+            assert trace.table.valid.tobytes() == table.valid.tobytes()
+            assert _bits(trace.table.error_list) == table.errors.tobytes()
+            assert (trace.first, trace.output) == (first, output)
+            for store in stores:
+                reset_ops()
+                errors, output_error = execute(prog, cases, store)
+                assert ops_applied() == ops
+                assert _bits(errors) == table.errors[first:].tobytes()
+                assert _bits([output_error]) == _bits([table.error_list[output]])
+            fit, row = best(table.error_list, first)
+            want = {"multi": (fit, row - first),
+                    "single": (table.error_list[output], output - first if output >= first else INITIAL_R0)}
+            for store in [None, *stores]:
+                for mode in MODES:
+                    reset_ops()
+                    fit, locus = fitness(prog, cases, mode, store)
+                    assert ops_applied() == ops
+                    assert (_bits([fit]), locus) == (_bits([want[mode][0]]), want[mode][1])
+            reset_ops()
+
+
 def test_register_taint_propagates_through_data_flow():
     huge = 1e308
     cases = make_cases([[huge]], [0.0])
@@ -337,6 +467,20 @@ def test_crossover_swaps_whole_instructions():
         for i in range(7):
             pair = {o1.instructions[i], o2.instructions[i]}
             assert pair == {p1.instructions[i], p2.instructions[i]}
+
+
+def test_crossover_uniform_takes_one_word_per_slot_and_agrees_with_the_mask():
+    make = RandomSource(601)
+    rng, replay = RandomSource(602), RandomSource(602)
+    # 70 crossovers cross several of the source's 256-word refills
+    for length in [1, 2, 3, 4, 7, 20, 40] * 10:
+        p1 = random_program(length, 5, 1, X, make, constant_rate=0.2)
+        p2 = random_program(length, 5, 1, X, make, constant_rate=0.2)
+        offspring = crossover_uniform(p1, p2, rng)
+        mask = [replay.coin() for _ in range(length)]
+        assert offspring == crossover_with_mask(p1, p2, mask)
+        # both streams stand at the same word: the crossover took `length` words
+        assert rng.next_uint64() == replay.next_uint64()
 
 
 def test_crossover_rejects_mismatched_parents():

@@ -287,6 +287,20 @@ def test_crossover_offspring_partition_parent_genes():
         validate_chromosome(o2, ABCD)
 
 
+def test_crossover_uniform_takes_one_word_per_gene_and_agrees_with_the_mask():
+    make = RandomSource(70)
+    rng, replay = RandomSource(71), RandomSource(71)
+    # 70 crossovers cross several of the source's 256-word refills
+    for length in [1, 2, 3, 4, 7, 20, 40] * 10:
+        p1 = random_chromosome(length, ABCD, make)
+        p2 = random_chromosome(length, ABCD, make)
+        offspring = crossover_uniform(p1, p2, rng)
+        mask = [replay.coin() for _ in range(length)]
+        assert offspring == crossover_with_mask(p1, p2, mask)
+        # both streams stand at the same word: the crossover took `length` words
+        assert rng.next_uint64() == replay.next_uint64()
+
+
 def test_crossover_rejects_mismatched_parents():
     with pytest.raises(ValueError):
         crossover_uniform(chromosome(T(0)), chromosome(T(0), T(1)), RandomSource(0))
