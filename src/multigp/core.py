@@ -1,15 +1,15 @@
 """Shared vocabulary for the GP encodings: primitive operators with protected
-semantics, regression test problems, the row evaluator every encoding lowers
-its chromosome to, and the deterministic random source every stochastic
-operation draws from.
+semantics, regression test problems, the row store every encoding lowers its
+chromosome into to evaluate it, and the deterministic random source every
+stochastic operation draws from.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -84,14 +84,12 @@ class RowTable:
     Row i holds one leaf or one operation.  ``valid[i]`` is False when a
     non-finite value appeared in an operation row or in any operation row it
     was built from; leaf rows (inputs, constants) are always valid.
-    ``errors[i]`` is the row's sum of absolute errors, +inf where invalid;
-    ``error_list`` holds the same errors as Python floats.
+    ``errors[i]`` is the row's sum of absolute errors, +inf where invalid.
     """
 
     values: np.ndarray  # (R, n)
     valid: np.ndarray   # (R,) bool
     errors: np.ndarray  # (R,)
-    error_list: list[float] = field(repr=False, compare=False)
 
 
 def best(errors: list[float], start: int = 0) -> tuple[float, int]:
@@ -129,33 +127,29 @@ _PLAIN = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divid
 _PROTECTED = {**_PLAIN, "div": _protected_divide}
 
 
-def _run_rows(rows, leaves, buf, views, ufuncs, start) -> tuple[list[int], int]:
-    """Write every row into ``buf`` from row ``start`` on; return the divisor
-    rows and the leaf count."""
+def _run_rows(rows, leaves, buf, views, ufuncs, start) -> list[int]:
+    """Write every row into ``buf`` from row ``start`` on; return the divisor rows."""
     divisors = []
-    leaf_rows = 0
     for i, (op, a, b) in enumerate(rows, start):
         if op is None:
             buf[i] = leaves[a]
-            leaf_rows += 1
         else:
             if op == "div":
                 divisors.append(b)
             ufuncs[op](views[a], views[b], views[i])
-    return divisors, leaf_rows
+    return divisors
 
 
-def _evaluate_block(rows, leaves, buf, views, start, valid, targets) -> tuple[list[float], int]:
+def _evaluate_block(rows, leaves, buf, views, start, valid, targets) -> list[float]:
     """Compute ``rows`` into ``buf`` from row ``start`` on, over rows
-    ``0..start-1`` already there and exact; return the block's errors and its
-    leaf count.
+    ``0..start-1`` already there and exact; return the block's errors.
 
     ``valid`` holds the validity of the rows before ``start``; the block's
     validity is appended to it.  Invalidity propagates from a row to every row
     built on top of it, and an invalid row's error is +inf.
     """
     with np.errstate(all="ignore"):
-        divisors, leaf_rows = _run_rows(rows, leaves, buf, views, _PLAIN, start)
+        divisors = _run_rows(rows, leaves, buf, views, _PLAIN, start)
         # rows are written once, so at the first division whose divisor is
         # small every earlier row is exact and this check sees that divisor.
         # fmin skips NaN; a plain min would let one NaN divisor hide a zero.
@@ -171,22 +165,7 @@ def _evaluate_block(rows, leaves, buf, views, start, valid, targets) -> tuple[li
         valid.append(ok)
         if not ok:
             errors[j] = np.inf
-    return errors, leaf_rows
-
-
-def evaluate_rows(rows, leaves, cases: "FitnessCaseSet") -> RowTable:
-    """Run post-order rows ``(op, a, b)`` once over all cases.
-
-    A leaf row (``op is None``) copies ``leaves[a]``; an operation row applies
-    ``op`` to the earlier rows ``a`` and ``b`` as :func:`vector_apply` does.
-    Invalidity propagates from a row to every row built on top of it.
-    """
-    global _ops_applied
-    values = np.empty((len(rows), cases.n))
-    valid: list[bool] = []
-    errors, leaf_rows = _evaluate_block(rows, leaves, values, list(values), 0, valid, cases.targets)
-    _ops_applied += (len(rows) - leaf_rows) * cases.n
-    return RowTable(values, np.array(valid, dtype=bool), np.array(errors), errors)
+    return errors
 
 
 #: bytes of row values a RowStore holds before it starts over
@@ -198,46 +177,48 @@ _bits = struct.Struct("<d").pack
 class RowStore:
     """The rows of one run over one case set, each distinct row computed once.
 
-    Case input k is always row k.  Every other row is hash-consed to an id in
-    ``ids``: a scalar leaf by its bits (so 0.0 and -0.0 differ, and no NaN
-    must equal itself) and an operation row by ``(op, id_a, id_b)``.  A row's
-    value depends only on its structure, so :meth:`errors` gives the errors
-    :func:`evaluate_rows` gives.  The new rows of a call are computed as one
-    block, by the function that computes :func:`evaluate_rows`' table: plain
-    ufuncs, one deferred divisor check, a protected recompute of the block
-    (every older row is already exact) and one error reduction over it.
+    Every fitness call goes through a store; one called without a store opens
+    a fresh store of budget 0, which holds just that call.  Case input k is
+    always row k.  Every other row is hash-consed to an id in ``ids``: a
+    scalar leaf by its bits (so 0.0 and -0.0 differ, and no NaN must equal
+    itself) and an operation row by ``(op, id_a, id_b)``.  A row's value
+    depends only on its structure, so every store gives it the same bits.
+    The new rows of a call are computed as one block: plain ufuncs, one
+    deferred divisor check, a protected recompute of the block (every older
+    row is already exact) and one error reduction over it.
 
     A call makes room with :meth:`reserve`, interns its scalar leaves with
     :meth:`scalar` and its operation rows into ``ids`` itself, and ends with
-    :meth:`commit`.  The operation counter still counts every operation row
-    of every call, the cost the encodings are compared by; ``computed_rows``
-    counts the operation rows actually computed.  Once the next call might
-    not fit in ``budget`` bytes of values besides the inputs, the store
-    forgets every other row, which cannot change a result.
+    :meth:`commit`, the one place that counts operations: every operation
+    row of every call, the cost the encodings are compared by.
+    ``computed_rows`` counts the operation rows actually computed.  Once the
+    next call might not fit in ``budget`` bytes of values besides the
+    inputs, the store forgets every other row, which cannot change a result.
     """
 
     def __init__(self, cases: "FitnessCaseSet", budget: int = ROW_STORE_BYTES):
-        self._inputs = cases.inputs.T
-        self._input_ids = range(len(self._inputs))
+        self._inputs = cases.num_inputs
+        self._input_ids = range(self._inputs)  # indexing it rejects a missing input
+        self._room = budget // (8 * cases.n)
         self._targets = cases.targets
         self._n = cases.n
+        # the first call allocates the buffer the input rows are copied into
+        self._buf, errors = cases._input_rows
+        self._errors = errors.copy()
+        self._valid = [True] * self._inputs
         self._views: list[np.ndarray] = []
         self.ids: dict = {}
-        self._errors: list[float] = []
-        self._valid: list[bool] = []
         self.computed_rows = 0
-        self._clear(budget // (8 * cases.n))
 
     def _clear(self, count: int) -> None:
-        """Forget every row but the inputs, with room for ``count`` more."""
+        """Forget every row but the inputs, with room for at least ``count`` more."""
+        inputs = self._inputs
         self.ids.clear()
-        self._errors.clear()
-        self._valid.clear()
-        inputs = len(self._inputs)
+        del self._errors[inputs:], self._valid[inputs:]
         if inputs + count > len(self._views):
-            self._buf = np.empty((inputs + count, self._n))
-            self._views = list(self._buf)
-        self.commit(0, [(None, k, 0) for k in self._input_ids], self._inputs, 0)
+            buf = np.empty((inputs + max(count, self._room), self._n))
+            buf[:inputs] = self._buf[:inputs]
+            self._buf, self._views = buf, list(buf)
 
     def reserve(self, count: int) -> int:
         """Make room for ``count`` new rows; return the id the first one gets."""
@@ -262,34 +243,23 @@ class RowStore:
         global _ops_applied
         _ops_applied += op_rows * self._n
         if new:
-            errors, leaf_rows = _evaluate_block(new, fresh, self._buf, self._views, start,
-                                                self._valid, self._targets)
-            self.computed_rows += len(new) - leaf_rows
-            self._errors += errors
+            self._errors += _evaluate_block(new, fresh, self._buf, self._views, start,
+                                            self._valid, self._targets)
+            self.computed_rows += len(new) - len(fresh)  # a scalar leaf is no operation
         return self._errors
 
-    def errors(self, rows, leaves=None) -> list[float]:
-        """Error of each of the post-order rows ``(op, a, b)``, as a list.
-
-        A leaf row reads ``leaves[a]``: an int is a case input's index, a
-        float a scalar.  Without ``leaves``, ``a`` is the input index.
-        """
+    def intern(self, rows) -> list[int]:
+        """Ids of the post-order rows ``(op, a, b)``, the new ones computed; a
+        leaf row ``(None, k, 0)`` is case input k."""
+        start = self.reserve(len(rows))
+        ids, input_ids = self.ids, self._input_ids
         new: list[tuple] = []
-        fresh: list = []
-        if leaves is None:
-            start = self.reserve(len(rows))
-            leaf_ids = self._input_ids
-        else:
-            start = self.reserve(len(leaves) + len(rows))
-            leaf_ids = [leaf if type(leaf) is int else self.scalar(leaf, start, new, fresh)
-                        for leaf in leaves]
-        ids = self.ids
         local: list[int] = []
         leaf_rows = 0
         for op, a, b in rows:
             if op is None:
                 leaf_rows += 1
-                i = leaf_ids[a]
+                i = input_ids[a]
             else:
                 key = (op, local[a], local[b])
                 i = ids.get(key)
@@ -297,14 +267,20 @@ class RowStore:
                     i = ids[key] = start + len(new)
                     new.append(key)
             local.append(i)
-        errors = self.commit(start, new, fresh, len(rows) - leaf_rows)
-        return [errors[i] for i in local]
+        self.commit(start, new, (), len(rows) - leaf_rows)
+        return local
+
+    def errors(self, rows) -> list[float]:
+        """Error of each of the post-order rows, as a list."""
+        ids = self.intern(rows)
+        errors = self._errors
+        return [errors[i] for i in ids]
 
     def table(self, ids: list[int]) -> RowTable:
         """The rows ``ids``, copied out of the store."""
-        errors = [self._errors[i] for i in ids]
+        errors = np.array([self._errors[i] for i in ids])
         valid = np.array([self._valid[i] for i in ids], dtype=bool)
-        return RowTable(self._buf.take(ids, 0), valid, np.array(errors), errors)
+        return RowTable(self._buf.take(ids, 0), valid, errors)
 
 
 @dataclass(frozen=True)
@@ -366,6 +342,15 @@ class FitnessCaseSet:
     @property
     def num_inputs(self) -> int:
         return self.inputs.shape[1]
+
+    @cached_property
+    def _input_rows(self) -> tuple[np.ndarray, list[float]]:
+        """The inputs as C-contiguous rows, and each row's error reduced as a
+        block's are: the first rows of every row store over the set."""
+        rows = self.inputs.T.copy()
+        rows.flags.writeable = False
+        with np.errstate(all="ignore"):
+            return rows, np.add.reduce(np.abs(rows - self.targets), 1).tolist()
 
 
 # Closed forms of the four benchmark polynomials, defined on [0, 10].
@@ -512,17 +497,6 @@ class RandomSource:
             if v not in out:
                 out.append(v)
         return out
-
-
-def write_cases_csv(cases: FitnessCaseSet, path) -> None:
-    """Persist a univariate case set as ``x,target`` rows, 17 significant digits."""
-    if cases.num_inputs != 1:
-        raise ValueError("CSV datasets are univariate")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "target"])
-        for x, t in zip(cases.inputs[:, 0], cases.targets):
-            writer.writerow([f"{x:.17g}", f"{t:.17g}"])
 
 
 def read_cases_csv(path) -> FitnessCaseSet:

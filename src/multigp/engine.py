@@ -62,8 +62,8 @@ class RunResult:
 
 
 def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
-    """The run's operations; ``evaluate`` goes through one RowStore per run,
-    ``describe`` through the store-free fitness."""
+    """The run's operations; ``evaluate`` and ``describe`` go through one
+    RowStore per run."""
     cfg.validate()
     prims = PrimitiveSet.for_inputs(cases.num_inputs)
     length, mode, muts = cfg.chromosome_length, cfg.mode, cfg.mutations
@@ -75,7 +75,7 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
             crossover=mep.crossover_uniform,
             mutate=lambda c, rng: mep.mutate(c, muts, prims, rng),
             evaluate=lambda c: mep.fitness(c, cases, mode, store)[0],
-            describe=lambda c: mep.expression(c, mep.fitness(c, cases, mode)[1], prims),
+            describe=lambda c: mep.expression(c, mep.fitness(c, cases, mode, store)[1], prims),
         )
     if cfg.technique == "lgp":
         registers = cases.num_inputs + lgp.SUPPLEMENTARY_REGISTERS
@@ -84,24 +84,24 @@ def make_toolbox(cfg: EvolutionConfig, cases: FitnessCaseSet) -> Toolbox:
             crossover=lgp.crossover_uniform,
             mutate=lambda p, rng: lgp.mutate(p, muts, prims, rng),
             evaluate=lambda p: lgp.fitness(p, cases, mode, store)[0],
-            describe=lambda p: _describe_program(p, cases, mode),
+            describe=lambda p: _describe_program(p, cases, mode, store),
         )
     return Toolbox(
         spawn=lambda rng: ifgp.random_chromosome(length, prims, rng),
         crossover=ifgp.crossover_two_point,
         mutate=lambda c, rng: ifgp.mutate(c, muts, prims, rng),
         evaluate=lambda c: ifgp.fitness(c, cases, prims, mode, store)[0],
-        describe=lambda c: _describe_infix(c, cases, prims, mode),
+        describe=lambda c: _describe_infix(c, cases, prims, mode, store),
     )
 
 
-def _describe_infix(chrom, cases, prims, mode) -> str:
-    _, row = ifgp.fitness(chrom, cases, prims, mode)
+def _describe_infix(chrom, cases, prims, mode, store) -> str:
+    _, row = ifgp.fitness(chrom, cases, prims, mode, store)
     return ifgp.render(ifgp.Subexpression(ifgp.decode(chrom, prims), row))
 
 
-def _describe_program(prog, cases, mode) -> str:
-    _, idx = lgp.fitness(prog, cases, mode)
+def _describe_program(prog, cases, mode, store) -> str:
+    _, idx = lgp.fitness(prog, cases, mode, store)
     if idx == lgp.INITIAL_R0:
         output = "output: r[0] initial value"
     else:

@@ -18,7 +18,6 @@ from .core import (
     RowStore,
     best,
     check_mode,
-    evaluate_rows,
 )
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -206,10 +205,7 @@ def fitness(
     """
     check_mode(mode)
     expr = decode(chrom, prims)
-    if store is None:
-        errors = evaluate_rows(expr.rows, cases.inputs.T, cases).error_list
-    else:
-        errors = store.errors(expr.rows)
+    errors = (store or RowStore(cases, 0)).errors(expr.rows)
     if mode == "single":
         return errors[-1], len(expr.rows) - 1  # post-order ends at the root
     return best(errors)

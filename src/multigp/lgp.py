@@ -59,8 +59,9 @@ class LgpProgram:
 
 @dataclass
 class LgpTrace:
-    """One execution in SSA form: a leaf row per register's initial value and
-    per constant operand, then one row per instruction in program order."""
+    """One execution's rows, copied out of the store it lowered into: a leaf
+    row per register's initial value and per constant operand, then one row
+    per instruction in program order."""
 
     table: RowTable
     program: LgpProgram
@@ -141,7 +142,7 @@ def execute(prog: LgpProgram, cases: FitnessCaseSet,
     count = registers + 3 * len(prog.instructions)  # the most rows one call adds
     traced = store is None
     if traced:
-        store = RowStore(cases, 8 * cases.n * count)
+        store = RowStore(cases, 0)
     start = store.reserve(count)
     ids, scalar = store.ids, store.scalar
     new: list[tuple] = []
@@ -197,47 +198,22 @@ def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi",
     multi: minimum error over every destination write in the trace.
     """
     check_mode(mode)
-    if store is None:
-        trace = execute(prog, cases)
-        errors = trace.table.error_list
-        errors, output = errors[trace.first:], errors[trace.output]
-    else:
-        errors, output = execute(prog, cases, store)
+    errors, output = execute(prog, cases, store or RowStore(cases, 0))
     if mode == "single":
         return output, _output_locus(prog)
     return best(errors)
 
 
-def _check_parents(p1: LgpProgram, p2: LgpProgram) -> None:
+def crossover_uniform(p1: LgpProgram, p2: LgpProgram, rng: RandomSource) -> tuple[LgpProgram, LgpProgram]:
+    """Fair-coin instruction-level uniform recombination, built in one pass
+    (one coin per slot, in order)."""
     if len(p1) != len(p2) or p1.num_registers != p2.num_registers or p1.num_inputs != p2.num_inputs:
         raise ValueError("parents must share length and register configuration")
-
-
-def _offspring(p1: LgpProgram, p2: LgpProgram, takes) -> tuple[LgpProgram, LgpProgram]:
-    o1, o2 = recombine(p1.instructions, p2.instructions, takes)
+    o1, o2 = recombine(p1.instructions, p2.instructions, iter(rng.coin, None))
     return (
         LgpProgram(o1, p1.num_registers, p1.num_inputs),
         LgpProgram(o2, p1.num_registers, p1.num_inputs),
     )
-
-
-def crossover_with_mask(p1: LgpProgram, p2: LgpProgram, mask) -> tuple[LgpProgram, LgpProgram]:
-    """Instruction-level uniform recombination under an explicit mask.
-
-    ``mask[i]`` True means offspring 1 takes instruction slot i from parent 1.
-    """
-    _check_parents(p1, p2)
-    mask = list(mask)
-    if len(mask) != len(p1):
-        raise ValueError("mask length must match the parents")
-    return _offspring(p1, p2, mask)
-
-
-def crossover_uniform(p1: LgpProgram, p2: LgpProgram, rng: RandomSource) -> tuple[LgpProgram, LgpProgram]:
-    """Fair-coin uniform recombination, built in one pass (one coin per slot,
-    in order)."""
-    _check_parents(p1, p2)
-    return _offspring(p1, p2, iter(rng.coin, None))
 
 
 def mutate(

@@ -17,7 +17,6 @@ from .core import (
     RowTable,
     best,
     check_mode,
-    evaluate_rows,
     recombine,
 )
 
@@ -78,11 +77,13 @@ def decode(chrom: MepChromosome, cases: FitnessCaseSet, store: RowStore | None =
     Row i holds E_i's outputs over all cases.  A row is valid only if its
     whole dependency cone stayed finite; invalidity propagates to every
     expression built on top of it.  Through a run's ``store``, only the
-    rows' errors come back, as a list.
+    rows' errors come back, as a list; without one, the rows of a fresh
+    store sized to the chromosome come back as a table.
     """
-    if store is None:
-        return evaluate_rows(chrom.genes, cases.inputs.T, cases)
-    return store.errors(chrom.genes)
+    if store is not None:
+        return store.errors(chrom.genes)
+    store = RowStore(cases, 0)
+    return store.table(store.intern(chrom.genes))
 
 
 def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi",
@@ -93,25 +94,10 @@ def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi",
     gene index).  single: the last gene's expression only, as in SEP.
     """
     check_mode(mode)
-    errors = decode(chrom, cases).error_list if store is None else decode(chrom, cases, store)
+    errors = decode(chrom, cases, store or RowStore(cases, 0))
     if mode == "single":
         return errors[-1], len(chrom) - 1
     return best(errors)
-
-
-def crossover_with_mask(p1: MepChromosome, p2: MepChromosome, mask) -> tuple[MepChromosome, MepChromosome]:
-    """Uniform recombination under an explicit mask.
-
-    ``mask[i]`` True means offspring 1 takes gene i from parent 1; offspring 2
-    always receives the complementary gene.
-    """
-    if len(p1) != len(p2):
-        raise ValueError("parents must have equal length")
-    mask = list(mask)
-    if len(mask) != len(p1):
-        raise ValueError("mask length must match the parents")
-    o1, o2 = recombine(p1.genes, p2.genes, mask)
-    return MepChromosome(o1), MepChromosome(o2)
 
 
 def crossover_uniform(p1: MepChromosome, p2: MepChromosome, rng: RandomSource) -> tuple[MepChromosome, MepChromosome]:

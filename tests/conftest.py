@@ -1,9 +1,13 @@
-"""Shared test helpers: a scripted random source and small case-set builders."""
+"""Shared test helpers: a scripted random source, small case-set builders, a
+dataset writer and the store-free oracles the row store is checked against."""
+
+import csv
 
 import numpy as np
 import pytest
 
-from multigp.core import FitnessCaseSet
+from multigp import core, ifgp, lgp
+from multigp.core import FitnessCaseSet, PrimitiveSet, RowTable, best
 
 
 class StubRandom:
@@ -62,3 +66,98 @@ def make_cases(xs, targets):
 def five_cases():
     xs = np.array([0.5, 1.0, 2.0, 3.5, 7.0])
     return make_cases(xs, xs ** 2 + xs)
+
+
+def write_cases_csv(cases, path):
+    """Persist a univariate case set as ``x,target`` rows, 17 significant digits."""
+    if cases.num_inputs != 1:
+        raise ValueError("CSV datasets are univariate")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "target"])
+        for x, t in zip(cases.inputs[:, 0], cases.targets):
+            writer.writerow([f"{x:.17g}", f"{t:.17g}"])
+
+
+# --- store-free oracles ---
+
+def evaluate_rows(rows, leaves, cases):
+    """Run post-order rows ``(op, a, b)`` once over all cases, with no store.
+
+    A leaf row (``op is None``) copies ``leaves[a]``; an operation row applies
+    ``op`` to the earlier rows ``a`` and ``b`` as ``vector_apply`` does.
+    Invalidity propagates from a row to every row built on top of it.  The
+    whole table is one block of the store's block evaluator, and it counts no
+    operation.
+    """
+    values = np.empty((len(rows), cases.n))
+    valid = []
+    errors = core._evaluate_block(rows, leaves, values, list(values), 0, valid, cases.targets)
+    return RowTable(values, np.array(valid, dtype=bool), np.array(errors))
+
+
+def operations(rows, cases):
+    """Primitive applications one evaluation of ``rows`` counts."""
+    return sum(op is not None for op, _, _ in rows) * cases.n
+
+
+def ssa_rows(prog):
+    """The program in SSA form: a leaf row per register, then per constant
+    operand in order of appearance, then a row per instruction.  Returns the
+    rows, the scalar leaves after the inputs' and the row of r[0]'s final
+    value."""
+    registers = prog.num_registers
+    last = list(range(registers))
+    constants, body = [], []
+    for ins in prog.instructions:
+        operands = []
+        for src in (ins.src1, ins.src2):
+            if isinstance(src, int):
+                operands.append(last[src])
+            else:
+                constants.append(src)
+                operands.append(("constant", len(constants) - 1))
+        last[ins.dest] = ("instruction", len(body))
+        body.append((ins.op, *operands))
+    first = registers + len(constants)
+
+    def row(ref):
+        if isinstance(ref, int):
+            return ref
+        kind, j = ref
+        return registers + j if kind == "constant" else first + j
+
+    rows = [(None, k, 0) for k in range(first)]
+    rows += [(op, row(a), row(b)) for op, a, b in body]
+    scalars = [lgp.REGISTER_INIT] * (registers - prog.num_inputs) + constants
+    return rows, scalars, row(last[0])
+
+
+def reference_execute(prog, cases):
+    """(table, row of r[0], applied operations) from the SSA rows."""
+    rows, scalars, output = ssa_rows(prog)
+    table = evaluate_rows(rows, [*cases.inputs.T[:prog.num_inputs], *scalars], cases)
+    return table, output, operations(rows, cases)
+
+
+def reference_fitness(technique, chrom, cases, mode):
+    """The store-free fitness: (fitness, locus, applied operations) of one
+    reading, from ``evaluate_rows`` over MEP's genes, IFGP's decoded rows or
+    LGP's SSA rows."""
+    if technique == "lgp":
+        table, output, ops = reference_execute(chrom, cases)
+        first = len(table.errors) - len(chrom)
+        single = output - first if output >= first else lgp.INITIAL_R0
+    else:
+        if technique == "mep":
+            rows = chrom.genes
+        else:
+            rows = ifgp.decode(chrom, PrimitiveSet.for_inputs(cases.num_inputs)).rows
+        table, ops = evaluate_rows(rows, cases.inputs.T, cases), operations(rows, cases)
+        first, output = 0, len(rows) - 1
+        single = output
+    errors = table.errors.tolist()
+    if mode == "single":
+        return errors[output], single, ops
+    fit, row = best(errors, first)
+    return fit, row - first, ops

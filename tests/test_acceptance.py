@@ -26,7 +26,7 @@ from multigp.core import (
 from multigp.engine import EvolutionConfig, binary_tournament, run_evolution
 from multigp.harness import VARIANTS, run_one, variant_pair
 
-from conftest import make_cases
+from conftest import StubRandom, make_cases
 
 # seed feeding run i of every benchmark point (run i uses BASE_SEED + i)
 BASE_SEED = 201
@@ -83,6 +83,12 @@ def _lgp_prefix_scalar(prog, upto, x_row):
         ok[ins.dest] = a_ok and b_ok and math.isfinite(v)
         value, valid = v, ok[ins.dest]
     return value, valid
+
+
+def _coins(*takes):
+    """A scripted source whose fair coins come out as ``takes`` (True keeps
+    parent 1's gene in offspring 1)."""
+    return StubRandom([("random", 0.1 if take else 0.9) for take in takes])
 
 
 def test_criterion_1_mep_oracle_equivalence():
@@ -164,8 +170,7 @@ def test_criterion_3_worked_goldens():
         T(1), F("mul", 0, 0), F("add", 1, 0), T(0), F("mul", 2, 1), T(0),
         F("sub", 0, 3),
     ))
-    o1, o2 = mep.crossover_with_mask(
-        mep_p1, sample, [False, True, True, False, True, False, True])
+    o1, o2 = mep.crossover_uniform(mep_p1, sample, _coins(False, True, True, False, True, False, True))
     assert o1 == mep.MepChromosome((
         T(0), F("mul", 0, 0), F("add", 1, 0), T(2), F("mul", 2, 1),
         F("add", 3, 4), F("sub", 0, 3),
@@ -186,8 +191,7 @@ def test_criterion_3_worked_goldens():
         I(6, "div", 5, 2), I(2, "add", 1, 7.0), I(1, "add", 2, 4),
         I(0, "mul", 4, 3.0),
     ), 8, 1)
-    o1, o2 = lgp.crossover_with_mask(
-        lgp_p1, lgp_p2, [True, False, True, True, False, False, False])
+    o1, o2 = lgp.crossover_uniform(lgp_p1, lgp_p2, _coins(True, False, True, True, False, False, False))
     assert o1 == lgp.LgpProgram((
         I(5, "mul", 3, 2), I(1, "mul", 2, 6), I(0, "mul", 4, 7),
         I(5, "sub", 4, 1), I(2, "add", 1, 7.0), I(1, "add", 2, 4),

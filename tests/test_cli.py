@@ -9,10 +9,9 @@ import pytest
 
 import multigp
 from multigp.cli import main
-from multigp.core import write_cases_csv
 from multigp.harness import ExperimentReport, parse_csv, render_svg
 
-from conftest import make_cases
+from conftest import make_cases, write_cases_csv
 
 TINY_RUN = ["run", "--length", "5", "--pop", "4", "--generations", "1", "--seed", "3"]
 

@@ -19,16 +19,14 @@ from multigp.core import (
     RandomSource,
     RowStore,
     best,
-    evaluate_rows,
     make_problem,
     ops_applied,
     read_cases_csv,
     reset_ops,
     vector_apply,
-    write_cases_csv,
 )
 
-from conftest import make_cases
+from conftest import evaluate_rows, make_cases, operations, write_cases_csv
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -98,11 +96,15 @@ def test_operation_counter_counts_per_case():
     cases = make_cases([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0] * 7)
     # row 2 divides by the zero row 1, so the protected rule runs as well
     rows = [(None, 0, 0), ("sub", 0, 0), ("div", 0, 1), (None, 0, 0)]
+    store = RowStore(cases)
     reset_ops()
-    evaluate_rows(rows, cases.inputs.T, cases)
+    store.errors(rows)
     assert ops_applied() == 14
-    evaluate_rows(rows[:1], cases.inputs.T, cases)
+    store.errors(rows[:1])
     assert ops_applied() == 14
+    # a row the store already holds is counted again
+    store.errors(rows)
+    assert ops_applied() == 28
     reset_ops()
     assert ops_applied() == 0
 
@@ -186,19 +188,23 @@ def test_make_problem_rejects_unknown_id():
         make_problem("f9", RandomSource(1))
 
 
+def _tables(rows, cases):
+    """The rows over the case inputs from the ``evaluate_rows`` oracle, and
+    copied out of a fresh store as a store-free ``mep.decode`` copies them."""
+    store = RowStore(cases, 0)
+    return [evaluate_rows(rows, cases.inputs.T, cases), store.table(store.intern(rows))]
+
+
 def test_evaluate_rows_by_hand():
     cases = make_cases([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
     rows = [(None, 0, 0), ("mul", 0, 0), ("sub", 1, 0)]
-    reset_ops()
-    table = evaluate_rows(rows, cases.inputs.T, cases)
-    assert ops_applied() == 2 * cases.n
-    reset_ops()
-    assert table.values.tolist() == [[1.0, 2.0, 3.0], [1.0, 4.0, 9.0], [0.0, 2.0, 6.0]]
-    assert table.valid.tolist() == [True, True, True]
-    # |1-2| + |2-2| + |3-2|, |1-2| + |4-2| + |9-2|, |0-2| + |2-2| + |6-2|
-    assert table.errors.tolist() == [2.0, 10.0, 6.0]
-    assert best(table.error_list) == (2.0, 0)
-    assert best(table.error_list, 1) == (6.0, 2)
+    for table in _tables(rows, cases):
+        assert table.values.tolist() == [[1.0, 2.0, 3.0], [1.0, 4.0, 9.0], [0.0, 2.0, 6.0]]
+        assert table.valid.tolist() == [True, True, True]
+        # |1-2| + |2-2| + |3-2|, |1-2| + |4-2| + |9-2|, |0-2| + |2-2| + |6-2|
+        assert table.errors.tolist() == [2.0, 10.0, 6.0]
+        assert best(table.errors.tolist()) == (2.0, 0)
+        assert best(table.errors.tolist(), 1) == (6.0, 2)
 
 
 def test_evaluate_rows_taints_every_row_built_on_an_invalid_one():
@@ -206,18 +212,18 @@ def test_evaluate_rows_taints_every_row_built_on_an_invalid_one():
     # row 1 overflows; rows 2 (x / inf = 0) and 3 (0 - x) are finite but
     # built on row 1
     rows = [(None, 0, 0), ("mul", 0, 0), ("div", 0, 1), ("sub", 2, 0)]
-    table = evaluate_rows(rows, cases.inputs.T, cases)
-    assert table.valid.tolist() == [True, False, False, False]
-    assert table.values[2, 0] == 0.0 and table.values[3, 0] == -1e308
-    assert table.errors[0] == 1e308
-    assert all(math.isinf(e) for e in table.errors[1:])
+    for table in _tables(rows, cases):
+        assert table.valid.tolist() == [True, False, False, False]
+        assert table.values[2, 0] == 0.0 and table.values[3, 0] == -1e308
+        assert table.errors[0] == 1e308
+        assert all(math.isinf(e) for e in table.errors[1:])
 
 
 def test_evaluate_rows_validity_follows_values_not_an_overflowing_error():
     cases = make_cases([1e308], [-1e308])
-    table = evaluate_rows([(None, 0, 0)], cases.inputs.T, cases)
-    assert table.valid.tolist() == [True]
-    assert math.isinf(table.errors[0])
+    for table in _tables([(None, 0, 0)], cases):
+        assert table.valid.tolist() == [True]
+        assert math.isinf(table.errors[0])
 
 
 def _reference_rows(rows, leaves, cases):
@@ -239,7 +245,7 @@ def _reference_rows(rows, leaves, cases):
                 ok[i] = False
         valid = np.array(ok)
         errors[~valid] = np.inf
-    return values, valid, errors, sum(op is not None for op, _, _ in rows) * cases.n
+    return values, valid, errors
 
 
 def _reference_best(errors, start=0):
@@ -248,11 +254,8 @@ def _reference_best(errors, start=0):
 
 
 def _assert_matches_reference(rows, leaves, cases):
-    values, valid, errors, ops = _reference_rows(rows, leaves, cases)
-    reset_ops()
+    values, valid, errors = _reference_rows(rows, leaves, cases)
     table = evaluate_rows(rows, leaves, cases)
-    assert ops_applied() == ops
-    reset_ops()
     assert table.values.tobytes() == values.tobytes()
     assert table.valid.dtype == valid.dtype and table.valid.tobytes() == valid.tobytes()
     assert table.errors.tobytes() == errors.tobytes()
@@ -261,7 +264,7 @@ def _assert_matches_reference(rows, leaves, cases):
     nan_rows = np.flatnonzero(np.isnan(errors)).tolist()
     assert all(rows[i][0] is None for i in nan_rows)
     for start in range(max(nan_rows, default=-1) + 1, len(rows)):
-        assert best(table.error_list, start) == _reference_best(errors, start)
+        assert best(table.errors.tolist(), start) == _reference_best(errors, start)
     return table
 
 
@@ -311,12 +314,19 @@ def test_evaluate_rows_sees_a_zero_divisor_beside_a_nan_divisor():
 
 def test_consecutive_tables_keep_their_own_values():
     cases = make_cases([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-    first = evaluate_rows([(None, 0, 0), ("mul", 0, 0)], cases.inputs.T, cases)
-    kept = first.values.copy()
-    second = evaluate_rows([(None, 0, 0), ("add", 0, 0), ("add", 1, 1)], cases.inputs.T, cases)
-    assert first.values.tobytes() == kept.tobytes()
-    assert second.values.tolist() == [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [4.0, 8.0, 12.0]]
-    assert not np.shares_memory(first.values, second.values)
+    # a store of no budget starts over on every call, so it overwrites the
+    # rows the first table was copied from
+    store = RowStore(cases, 0)
+    first_rows = [(None, 0, 0), ("mul", 0, 0)]
+    second_rows = [(None, 0, 0), ("add", 0, 0), ("add", 1, 1)]
+    for tables in [lambda rows: evaluate_rows(rows, cases.inputs.T, cases),
+                   lambda rows: store.table(store.intern(rows))]:
+        first = tables(first_rows)
+        kept = first.values.copy()
+        second = tables(second_rows)
+        assert first.values.tobytes() == kept.tobytes()
+        assert second.values.tolist() == [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [4.0, 8.0, 12.0]]
+        assert not np.shares_memory(first.values, second.values)
 
 
 # --- the run-scoped row store ---
@@ -327,16 +337,35 @@ _STORE_SCALARS = [0.0, -0.0, DIV_EPSILON, -DIV_EPSILON,
                   1e300, -1e300]
 
 
+def _store_errors(store, rows, leaves):
+    """``store.errors`` over a leaf set: an int leaf is a case input's index,
+    a float a scalar leaf, interned as ``lgp.execute`` interns one."""
+    if all(type(leaf) is int for leaf in leaves):
+        return store.errors([(None, leaves[a], 0) if op is None else (op, a, b) for op, a, b in rows])
+    new, fresh, local = [], [], []
+    start = store.reserve(len(leaves) + len(rows))
+    leaf_ids = [leaf if type(leaf) is int else store.scalar(leaf, start, new, fresh) for leaf in leaves]
+    for op, a, b in rows:
+        if op is None:
+            local.append(leaf_ids[a])
+            continue
+        key = (op, local[a], local[b])
+        if key not in store.ids:
+            store.ids[key] = start + len(new)
+            new.append(key)
+        local.append(store.ids[key])
+    errors = store.commit(start, new, fresh, sum(op is not None for op, _, _ in rows))
+    return [errors[i] for i in local]
+
+
 def _assert_store_matches_evaluate_rows(store, rows, leaves, cases):
-    """``leaves`` as the store reads them: an int is a case input's index."""
+    """``leaves`` as :func:`_store_errors` reads them."""
     values = [cases.inputs.T[k] if type(k) is int else k for k in leaves]
-    reset_ops()
     table = evaluate_rows(rows, values, cases)
-    ops = ops_applied()
-    reset_ops()
     computed = store.computed_rows
-    errors = store.errors(rows, leaves)
-    assert ops_applied() == ops
+    reset_ops()
+    errors = _store_errors(store, rows, leaves)
+    assert ops_applied() == operations(rows, cases)
     reset_ops()
     assert struct.pack(f"<{len(errors)}d", *errors) == table.errors.tobytes()
     return store.computed_rows - computed
@@ -411,7 +440,16 @@ def test_row_store_recomputes_only_its_new_rows_under_the_protected_rule():
     # the only new row divides by the small leaf, so it is recomputed alone
     assert _assert_store_matches_evaluate_rows(store, rows + [("div", 3, 1)], [0, small], cases) == 1
     # x / small is 1.0 on every case, against targets 1 and 0
-    assert store.errors([(None, 0, 0), (None, 1, 0), ("div", 0, 1)], [0, small])[-1] == 1.0
+    assert _store_errors(store, [(None, 0, 0), (None, 1, 0), ("div", 0, 1)], [0, small])[-1] == 1.0
+
+
+def test_row_store_rejects_a_leaf_past_the_case_inputs():
+    # a terminal the case set has no input for must not read another row
+    cases = make_cases([[1.0, 2.0]], [0.0])
+    rows = [(None, 0, 0), (None, 1, 0), ("add", 0, 1), ("mul", 2, 2), (None, 2, 0)]
+    for store in [RowStore(cases), RowStore(cases, 0)]:
+        with pytest.raises(IndexError):
+            store.errors(rows)
 
 
 def test_row_store_never_holds_less_than_one_call():

@@ -19,7 +19,7 @@ from multigp.engine import (
 )
 from multigp.harness import VARIANTS
 
-from conftest import StubRandom
+from conftest import StubRandom, reference_fitness
 
 
 # --- configuration validation ---
@@ -323,7 +323,7 @@ def test_lgp_description_names_the_output_register():
     assert "output: r[" in text
 
 
-# --- the run's row store against the store-free fitness ---
+# --- the run's row store against the store-free reference fitness ---
 
 STORE_LENGTHS = {"mep": 12, "lgp": 12, "ifgp": 20}
 
@@ -348,6 +348,8 @@ class CountingStore(RowStore):
         super()._clear(count)
 
 
+# the store-free fitness is conftest.reference_fitness: evaluate_rows over
+# the chromosome's rows (LGP's in SSA form), with no store at all.  Budgets:
 # the usual size; 24 rows of 20 cases, so the store starts over every few
 # evaluations; and less than one chromosome's rows, so it grows to one
 # chromosome and starts over on nearly every evaluation
@@ -361,15 +363,13 @@ def test_every_evaluation_through_the_store_matches_the_store_free_fitness(monke
 
     def checked_toolbox(cfg, cases):
         box = make_toolbox(cfg, cases)
-        pure = _fitness(technique, cases, mode)
 
         def evaluate(chrom):
             ops0 = ops_applied()
             got = box.evaluate(chrom)
-            ops1 = ops_applied()
-            want = pure(chrom)[0]
+            want, _, ops = reference_fitness(technique, chrom, cases, mode)
             assert got.hex() == want.hex()
-            assert ops1 - ops0 == ops_applied() - ops1 > 0
+            assert ops_applied() - ops0 == ops > 0
             checked.append(got)
             return got
 

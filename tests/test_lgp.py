@@ -12,13 +12,12 @@ from multigp.core import (
     MODES,
     OP_SYMBOLS,
     OPERATORS,
-    ROW_STORE_BYTES,
     PrimitiveSet,
     RandomSource,
     RowStore,
     best,
-    evaluate_rows,
     ops_applied,
+    recombine,
     reset_ops,
 )
 from multigp.lgp import (
@@ -28,7 +27,6 @@ from multigp.lgp import (
     LgpInstruction,
     LgpProgram,
     crossover_uniform,
-    crossover_with_mask,
     execute,
     fitness,
     mutate,
@@ -36,7 +34,7 @@ from multigp.lgp import (
     render,
 )
 
-from conftest import StubRandom, make_cases
+from conftest import StubRandom, make_cases, reference_execute
 
 X = PrimitiveSet.for_inputs(1)
 
@@ -216,49 +214,7 @@ def test_fitness_through_a_row_store_matches_with_constants_and_two_inputs():
             assert fitness(prog, cases, mode, store) == fitness(prog, cases, mode)
 
 
-# --- oracle: the SSA lowering evaluated by evaluate_rows ---
-
-def _ssa_rows(prog):
-    """The program in SSA form, as ``execute`` lowered it before it interned
-    into a row store: a leaf row per register, then per constant operand in
-    order of appearance, then a row per instruction.  Returns the rows, the
-    scalar leaves after the inputs' and the row of r[0]'s final value."""
-    registers = prog.num_registers
-    last = list(range(registers))
-    constants, body = [], []
-    for ins in prog.instructions:
-        operands = []
-        for src in (ins.src1, ins.src2):
-            if isinstance(src, int):
-                operands.append(last[src])
-            else:
-                constants.append(src)
-                operands.append(("constant", len(constants) - 1))
-        last[ins.dest] = ("instruction", len(body))
-        body.append((ins.op, *operands))
-    first = registers + len(constants)
-
-    def row(ref):
-        if isinstance(ref, int):
-            return ref
-        kind, j = ref
-        return registers + j if kind == "constant" else first + j
-
-    rows = [(None, k, 0) for k in range(first)]
-    rows += [(op, row(a), row(b)) for op, a, b in body]
-    scalars = [REGISTER_INIT] * (registers - prog.num_inputs) + constants
-    return rows, scalars, row(last[0])
-
-
-def _reference_execute(prog, cases):
-    """(table, row of r[0], applied operations) from the SSA rows."""
-    rows, scalars, output = _ssa_rows(prog)
-    reset_ops()
-    table = evaluate_rows(rows, [*cases.inputs.T[:prog.num_inputs], *scalars], cases)
-    ops = ops_applied()
-    reset_ops()
-    return table, output, ops
-
+# --- execute against the SSA lowering evaluated by evaluate_rows (conftest) ---
 
 def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
@@ -303,23 +259,25 @@ def test_execute_lowers_into_the_store_as_the_ssa_rows_evaluate(sequence):
     stores = [RowStore(cases), RowStore(cases, 0)]
     for _ in range(2):
         for prog in programs:
-            table, output, ops = _reference_execute(prog, cases)
-            first = len(table.error_list) - len(prog)
+            table, output, ops = reference_execute(prog, cases)
+            want_errors = table.errors.tolist()
+            first = len(want_errors) - len(prog)
+            reset_ops()
             trace = execute(prog, cases)
             assert ops_applied() == ops
             assert trace.table.values.tobytes() == table.values.tobytes()
             assert trace.table.valid.tobytes() == table.valid.tobytes()
-            assert _bits(trace.table.error_list) == table.errors.tobytes()
+            assert trace.table.errors.tobytes() == table.errors.tobytes()
             assert (trace.first, trace.output) == (first, output)
             for store in stores:
                 reset_ops()
                 errors, output_error = execute(prog, cases, store)
                 assert ops_applied() == ops
                 assert _bits(errors) == table.errors[first:].tobytes()
-                assert _bits([output_error]) == _bits([table.error_list[output]])
-            fit, row = best(table.error_list, first)
+                assert _bits([output_error]) == _bits([want_errors[output]])
+            fit, row = best(want_errors, first)
             want = {"multi": (fit, row - first),
-                    "single": (table.error_list[output], output - first if output >= first else INITIAL_R0)}
+                    "single": (want_errors[output], output - first if output >= first else INITIAL_R0)}
             for store in [None, *stores]:
                 for mode in MODES:
                     reset_ops()
@@ -443,12 +401,6 @@ EXPECTED_O2 = program(
 )
 
 
-def test_uniform_recombination_golden_pair():
-    o1, o2 = crossover_with_mask(PARENT_1, PARENT_2, TAKE_FIRST)
-    assert o1 == EXPECTED_O1
-    assert o2 == EXPECTED_O2
-
-
 def test_crossover_uniform_draws_one_coin_per_slot():
     draws = [("random", 0.1 if take else 0.9) for take in TAKE_FIRST]
     rng = StubRandom(draws)
@@ -478,7 +430,7 @@ def test_crossover_uniform_takes_one_word_per_slot_and_agrees_with_the_mask():
         p2 = random_program(length, 5, 1, X, make, constant_rate=0.2)
         offspring = crossover_uniform(p1, p2, rng)
         mask = [replay.coin() for _ in range(length)]
-        assert offspring == crossover_with_mask(p1, p2, mask)
+        assert tuple(o.instructions for o in offspring) == recombine(p1.instructions, p2.instructions, mask)
         # both streams stand at the same word: the crossover took `length` words
         assert rng.next_uint64() == replay.next_uint64()
 
@@ -489,7 +441,7 @@ def test_crossover_rejects_mismatched_parents():
         crossover_uniform(short, PARENT_1, RandomSource(0))
     other_registers = LgpProgram(PARENT_1.instructions, 9, 1)
     with pytest.raises(ValueError):
-        crossover_with_mask(PARENT_1, other_registers, TAKE_FIRST)
+        crossover_uniform(PARENT_1, other_registers, RandomSource(0))
 
 
 # --- mutation ---

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from multigp import mep
-from multigp.core import PrimitiveSet, RandomSource, ops_applied, reset_ops
+from multigp.core import PrimitiveSet, RandomSource, ops_applied, recombine, reset_ops
 from multigp.mep import (
     MepChromosome,
     MepGene,
     crossover_uniform,
-    crossover_with_mask,
     decode,
     expression,
     fitness,
@@ -259,12 +258,6 @@ EXPECTED_O2 = chromosome(
 )
 
 
-def test_uniform_recombination_golden_pair():
-    o1, o2 = crossover_with_mask(PARENT_1, PARENT_2, TAKE_FIRST)
-    assert o1 == EXPECTED_O1
-    assert o2 == EXPECTED_O2
-
-
 def test_crossover_uniform_draws_one_coin_per_position():
     # coin() is random() < 0.5, so 0.1 keeps parent 1's gene and 0.9 swaps
     draws = [("random", 0.9 if not take else 0.1) for take in TAKE_FIRST]
@@ -296,7 +289,7 @@ def test_crossover_uniform_takes_one_word_per_gene_and_agrees_with_the_mask():
         p2 = random_chromosome(length, ABCD, make)
         offspring = crossover_uniform(p1, p2, rng)
         mask = [replay.coin() for _ in range(length)]
-        assert offspring == crossover_with_mask(p1, p2, mask)
+        assert tuple(o.genes for o in offspring) == recombine(p1.genes, p2.genes, mask)
         # both streams stand at the same word: the crossover took `length` words
         assert rng.next_uint64() == replay.next_uint64()
 
@@ -304,8 +297,6 @@ def test_crossover_uniform_takes_one_word_per_gene_and_agrees_with_the_mask():
 def test_crossover_rejects_mismatched_parents():
     with pytest.raises(ValueError):
         crossover_uniform(chromosome(T(0)), chromosome(T(0), T(1)), RandomSource(0))
-    with pytest.raises(ValueError):
-        crossover_with_mask(SAMPLE, SAMPLE, [True])
 
 
 # --- mutation ---
