@@ -187,8 +187,9 @@ class RowStore:
     deferred divisor check, a protected recompute of the block (every older
     row is already exact) and one error reduction over it.
 
-    A call makes room with :meth:`reserve`, interns its scalar leaves with
-    :meth:`scalar` and its operation rows into ``ids`` itself, and ends with
+    A call makes room with :meth:`reserve`, reads case input k's id as
+    ``input_ids[k]``, interns its scalar leaves with :meth:`scalar` and its
+    operation rows into ``ids`` itself, and ends with
     :meth:`commit`, the one place that counts operations: every operation
     row of every call, the cost the encodings are compared by.
     ``computed_rows`` counts the operation rows actually computed.  Once the
@@ -198,7 +199,7 @@ class RowStore:
 
     def __init__(self, cases: "FitnessCaseSet", budget: int = ROW_STORE_BYTES):
         self._inputs = cases.num_inputs
-        self._input_ids = range(self._inputs)  # indexing it rejects a missing input
+        self.input_ids = range(self._inputs)  # indexing it rejects a missing input
         self._room = budget // (8 * cases.n)
         self._targets = cases.targets
         self._n = cases.n
@@ -252,7 +253,7 @@ class RowStore:
         """Ids of the post-order rows ``(op, a, b)``, the new ones computed; a
         leaf row ``(None, k, 0)`` is case input k."""
         start = self.reserve(len(rows))
-        ids, input_ids = self.ids, self._input_ids
+        ids, input_ids = self.ids, self.input_ids
         new: list[tuple] = []
         local: list[int] = []
         leaf_rows = 0
@@ -308,10 +309,18 @@ class PrimitiveSet:
             return cls(terminals=("x",))
         return cls(terminals=tuple(f"x{i + 1}" for i in range(num_inputs)))
 
-    @property
+    @cached_property
     def num_symbols(self) -> int:
         """Terminals + functions + the two parentheses (IFGP gene range)."""
         return len(self.terminals) + len(self.functions) + 2
+
+    @cached_property
+    def infix_menu(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """IFGP's operator menu: each function's symbol, and the precedence of
+        each menu code: the functions', then ')' (1, below every operator) and
+        last '(' (0, which no operator reduces past)."""
+        symbols = tuple(OP_SYMBOLS[f] for f in self.functions)
+        return symbols, tuple(2 if s in "*/" else 1 for s in symbols) + (1, 0)
 
 
 @dataclass
@@ -460,8 +469,12 @@ class RandomSource:
         table, jump = _xoshiro_tables()
         bits = np.flatnonzero(np.unpackbits(
             self._state.astype("<u8", copy=False).view(np.uint8), bitorder="little"))
-        x = np.bitwise_xor.reduce(table[bits], axis=0) * np.uint64(5)
-        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        x = np.bitwise_xor.reduce(table[bits], axis=0)
+        x *= np.uint64(5)  # the ** scrambler, in place: rotl(x * 5, 7) * 9
+        high = x >> np.uint64(57)
+        x <<= np.uint64(7)
+        x |= high
+        x *= np.uint64(9)
         self._state = np.bitwise_xor.reduce(jump[bits], axis=0)
         self._words = x[::-1].tolist()
 

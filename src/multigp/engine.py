@@ -156,6 +156,8 @@ def evolve_steady_state(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSourc
     evaluations = cfg.population_size
     best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
     best = population[best_idx]
+    # first of tied worst; fitness is never NaN, and only a replacement moves it
+    worst = fitnesses.index(max(fitnesses))
     series = []
     for _ in range(cfg.generations):
         for _ in range(cfg.population_size // 2):
@@ -166,10 +168,10 @@ def evolve_steady_state(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSourc
             child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
             if child_fit < best_fit:
                 best, best_fit = child, child_fit
-            worst = fitnesses.index(max(fitnesses))  # first of tied worst; fitness is never NaN
             if child_fit < fitnesses[worst]:
                 population[worst] = child
                 fitnesses[worst] = child_fit
+                worst = fitnesses.index(max(fitnesses))
         series.append(best_fit)
     return _finish(toolbox, rng, best, best_fit, series, evaluations)
 

@@ -1,12 +1,14 @@
 """Infix Form Genetic Programming: unconstrained integer genomes decoded by a
 modulo-driven state machine into valid infix expressions, repaired at the end
 when the raw translation stops mid-expression.  Every sub-expression is a
-candidate solution; ``decode`` lists them as post-order rows.
+candidate solution; ``decode`` lists them in post-order, as rows or as the
+ids of a run's row store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -20,8 +22,13 @@ from .core import (
     check_mode,
 )
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-_SYNTAX = {"(", ")", *_PRECEDENCE}  # every token that is not a terminal
+_SYNTAX = {"(", ")", *SYMBOL_OPS}  # every token that is not a terminal
+
+#: menu code of '(' on the operator stack; ``PrimitiveSet.infix_menu`` ends in its precedence
+_OPEN = -1
+
+#: what the translation reads after the genes: the repair step, then a ')' per open group
+_TAIL = repeat(None)
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,15 @@ class InfixExpression:
         return "".join(self.tokens)
 
 
+class LoweredExpression(NamedTuple):
+    """A chromosome decoded through a row store: its tokens, the store id of
+    each post-order sub-expression (root last) and the store's errors by id."""
+
+    tokens: list[str]
+    ids: list[int]
+    errors: list[float]
+
+
 class Subexpression(NamedTuple):
     """Row ``row`` of a decoded expression: one candidate solution."""
 
@@ -68,7 +84,8 @@ def random_chromosome(length: int, prims: PrimitiveSet, rng: RandomSource) -> If
     return IfgpChromosome(tuple(rng.randint(prims.num_symbols) for _ in range(length)))
 
 
-def decode(chrom: IfgpChromosome, prims: PrimitiveSet) -> InfixExpression:
+def decode(chrom: IfgpChromosome, prims: PrimitiveSet,
+           store: RowStore | None = None) -> InfixExpression | LoweredExpression:
     """Translate genes left to right, then repair into a valid expression.
 
     Each gene selects (modulo the number of possibilities) among the symbols
@@ -76,68 +93,83 @@ def decode(chrom: IfgpChromosome, prims: PrimitiveSet) -> InfixExpression:
     else an operator or, inside a group, ')'.  The last gene is never
     translated: if the raw expression ends in an operator or '(', it names
     the terminal appended by the repair step; unclosed parentheses are then
-    closed.  An operator stack (shunting-yard) turns the tokens into
-    post-order rows in the same pass.
+    closed.
+
+    An operator stack (shunting-yard) reduces the sub-expressions in the same
+    pass, in post-order.  The whole expression is a group of its own, so ')'
+    and the end of the genes both reduce down to the '(' below them.
+    Through a ``store``, a terminal is its case input's row and each reduce
+    step interns ``(op, id_a, id_b)`` in the store's id table; the
+    sub-expressions come back as store ids, with the store's errors.
+    Without one, they come back as local post-order rows ``(op, a, b)``.
     """
     genes = chrom.genes
     if len(genes) < 2 or min(genes) < 0 or max(genes) >= prims.num_symbols:
         validate_chromosome(chrom, prims)
-    terminals = prims.terminals
-    operators = [OP_SYMBOLS[f] for f in prims.functions]
-    n_terminals, n_operators = len(terminals), len(operators)
+    terminals, functions = prims.terminals, prims.functions
+    symbols, precedence = prims.infix_menu
+    n_terminals, n_operators = len(terminals), len(functions)
+    lowering = store is not None
+    if lowering:
+        start = store.reserve(len(genes))  # at most one new row per gene
+        ids, input_ids = store.ids, store.input_ids
+        new: list[tuple] = []
     tokens: list[str] = []
-    rows: list[tuple] = []
-    pending: list[str] = []   # operators and '(' not yet reduced
-    operands: list[int] = []  # row of each finished operand
+    post: list = []              # each sub-expression's row, or store id
+    operands: list[int] = []     # the row or id of each finished operand
+    pending: list[int] = [_OPEN]  # menu codes not yet reduced; the expression's own group at the bottom
     surplus = 0
-
-    def terminal(k):
-        tokens.append(terminals[k])
-        operands.append(len(rows))
-        rows.append((None, k, 0))
-
-    def reduce():
-        right = operands.pop()
-        rows.append((SYMBOL_OPS[pending.pop()], operands[-1], right))
-        operands[-1] = len(rows) - 1
-
-    def close():
-        tokens.append(")")
-        while pending[-1] != "(":
-            reduce()
-        pending.pop()
-
     operand_due = True
-    for gene in genes[:-1]:
+    for gene in chain(genes[:-1], _TAIL):
         if operand_due:
+            if gene is None:  # repair: the last gene names the terminal
+                gene = genes[-1] % n_terminals
             k = gene % (n_terminals + 1)
             if k < n_terminals:
-                terminal(k)
+                tokens.append(terminals[k])
+                if lowering:
+                    i = input_ids[k]
+                    post.append(i)
+                else:
+                    i = len(post)
+                    post.append((None, k, 0))
+                operands.append(i)
                 operand_due = False
             else:
                 tokens.append("(")
-                pending.append("(")
+                pending.append(_OPEN)
                 surplus += 1
-        else:
-            k = gene % (n_operators + (surplus > 0))
-            if k < n_operators:
-                symbol = operators[k]
-                precedence = _PRECEDENCE[symbol]
-                while pending and pending[-1] != "(" and _PRECEDENCE[pending[-1]] >= precedence:
-                    reduce()
-                tokens.append(symbol)
-                pending.append(symbol)
-                operand_due = True
+            continue
+        # an operator, or ')' (code n_operators): from the genes, then one per open group
+        k = n_operators if gene is None else gene % (n_operators + (surplus > 0))
+        p = precedence[k]
+        while precedence[pending[-1]] >= p:
+            right = operands.pop()
+            key = (functions[pending.pop()], operands[-1], right)
+            if lowering:
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = start + len(new)
+                    new.append(key)
+                post.append(i)
             else:
-                close()
-                surplus -= 1
-    if operand_due:
-        terminal(genes[-1] % n_terminals)
-    for _ in range(surplus):
-        close()
-    while pending:
-        reduce()
-    return InfixExpression(tuple(tokens), tuple(rows))
+                i = len(post)
+                post.append(key)
+            operands[-1] = i
+        if k < n_operators:
+            tokens.append(symbols[k])
+            pending.append(k)
+            operand_due = True
+        else:
+            pending.pop()
+            if not surplus:  # that was the whole expression's group
+                break
+            tokens.append(")")
+            surplus -= 1
+    if not lowering:
+        return InfixExpression(tuple(tokens), tuple(post))
+    # a binary tree of n leaves has n - 1 operators
+    return LoweredExpression(tokens, post, store.commit(start, new, (), len(post) // 2))
 
 
 def spans(expr: InfixExpression) -> list[tuple[int, int]]:
@@ -204,11 +236,10 @@ def fitness(
     once, or through a run's ``store`` once per run.
     """
     check_mode(mode)
-    expr = decode(chrom, prims)
-    errors = (store or RowStore(cases, 0)).errors(expr.rows)
+    _, ids, errors = decode(chrom, prims, store or RowStore(cases, 0))
     if mode == "single":
-        return errors[-1], len(expr.rows) - 1  # post-order ends at the root
-    return best(errors)
+        return errors[ids[-1]], len(ids) - 1  # post-order ends at the root
+    return best([errors[i] for i in ids])
 
 
 def crossover_at(p1: IfgpChromosome, p2: IfgpChromosome, cut1: int, cut2: int) -> tuple[IfgpChromosome, IfgpChromosome]:

@@ -5,7 +5,16 @@ import math
 import pytest
 
 from multigp import engine, ifgp, lgp, mep
-from multigp.core import MODES, ROW_STORE_BYTES, PrimitiveSet, RandomSource, RowStore, make_problem, ops_applied
+from multigp.core import (
+    MODES,
+    PROBLEM_IDS,
+    ROW_STORE_BYTES,
+    PrimitiveSet,
+    RandomSource,
+    RowStore,
+    make_problem,
+    ops_applied,
+)
 from multigp.engine import (
     SUCCESS_THRESHOLD,
     TECHNIQUES,
@@ -405,3 +414,95 @@ def test_re_evaluation_computes_no_row_but_counts_every_operation(technique):
     assert nominal > 0 and ops1 - ops0 == ops2 - ops1 == nominal
     assert 0 < computed * cases.n <= nominal
     assert store.computed_rows == computed
+
+
+# --- what bench/tracing.py reads of an IFGP evaluation ---
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_ifgp_evaluation_decodes_once_and_applies_its_operator_tokens(monkeypatch, mode):
+    # the tracer rebinds ifgp.decode, calls it with positional arguments only
+    # and counts the operator tokens of its result
+    decoded = []
+    real_decode = ifgp.decode
+
+    def counting_decode(*args):
+        result = real_decode(*args)
+        decoded.append(sum(token in "+-*/" for token in result.tokens))
+        return result
+
+    monkeypatch.setattr(ifgp, "decode", counting_decode)
+    evaluations = []
+
+    def counting_toolbox(cfg, cases):
+        box = make_toolbox(cfg, cases)
+
+        def evaluate(chrom):
+            mark, ops0 = len(decoded), ops_applied()
+            fit = box.evaluate(chrom)
+            evaluations.append((decoded[mark:], ops_applied() - ops0, cases.n))
+            return fit
+
+        return dataclasses.replace(box, evaluate=evaluate)
+
+    monkeypatch.setattr(engine, "make_toolbox", counting_toolbox)
+    for seed, problem in ((71, "f1"), (72, "f4")):
+        rng = RandomSource(seed)
+        cases = make_problem(problem, rng)
+        run_evolution(EvolutionConfig("ifgp", 12, mode, population_size=10, generations=6), cases, rng)
+    assert len(evaluations) == 2 * (10 + 6 * 10)
+    for units, ops, n in evaluations:
+        assert len(units) == 1
+        assert ops == units[0] * n
+    assert any(ops > 0 for _, ops, _ in evaluations)
+
+
+# --- the steady-state loop against a scan for the worst at every event ---
+
+def scan_every_event(toolbox, cfg, rng):
+    """``evolve_steady_state`` as first written: the worst individual is
+    looked up anew at every mating event, whether or not one was replaced."""
+    population, fitnesses = engine._spawn_population(toolbox, cfg, rng)
+    evaluations = cfg.population_size
+    best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
+    best = population[best_idx]
+    series = []
+    for _ in range(cfg.generations):
+        for _ in range(cfg.population_size // 2):
+            p1 = binary_tournament(fitnesses, rng)
+            p2 = binary_tournament(fitnesses, rng)
+            o1, f1, o2, f2 = engine._offspring(toolbox, cfg, rng, population[p1], population[p2])
+            evaluations += 2
+            child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
+            if child_fit < best_fit:
+                best, best_fit = child, child_fit
+            worst = fitnesses.index(max(fitnesses))
+            if child_fit < fitnesses[worst]:
+                population[worst] = child
+                fitnesses[worst] = child_fit
+        series.append(best_fit)
+    return engine._finish(toolbox, rng, best, best_fit, series, evaluations)
+
+
+def tying_toolbox(cfg, cases):
+    """Individuals are small integers and a fitness takes one of four
+    values, so the worst (and the best) tie nearly always."""
+    return Toolbox(
+        spawn=lambda rng: rng.randint(16),
+        crossover=lambda a, b, rng: ((a + b) % 16, (a * b + rng.randint(16)) % 16),
+        mutate=lambda ind, rng: (ind + rng.randint(3)) % 16,
+        evaluate=lambda ind: float(ind % 4),
+        describe=str,
+    )
+
+
+@pytest.mark.parametrize("variant", ["mep", "sep", "ifgp", "ss-ifgp", "ties"])
+def test_steady_state_replaces_the_worst_a_scan_at_every_event_finds(variant):
+    technique, mode = VARIANTS.get(variant, ("mep", "multi"))
+    toolbox = tying_toolbox if variant == "ties" else make_toolbox
+    for seed, population in ((81, 2), (82, 5), (83, 12), (84, 31)):
+        cases = make_problem(PROBLEM_IDS[seed % 4], RandomSource(seed))
+        length = 10 if technique == "ifgp" else 6
+        cfg = EvolutionConfig(technique, length, mode, population_size=population, generations=8)
+        got = evolve_steady_state(toolbox(cfg, cases), cfg, RandomSource(seed))
+        want = scan_every_event(toolbox(cfg, cases), cfg, RandomSource(seed))
+        assert got == want

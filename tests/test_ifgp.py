@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigp.core import OP_SYMBOLS, SYMBOL_OPS, PrimitiveSet, RandomSource, ops_applied, reset_ops
+from multigp.core import (
+    MODES,
+    OP_SYMBOLS,
+    SYMBOL_OPS,
+    PrimitiveSet,
+    RandomSource,
+    RowStore,
+    best,
+    ops_applied,
+    reset_ops,
+)
 from multigp.ifgp import (
     IfgpChromosome,
     Subexpression,
@@ -22,7 +33,7 @@ from multigp.ifgp import (
     validate_chromosome,
 )
 
-from conftest import StubRandom, make_cases
+from conftest import StubRandom, evaluate_rows, make_cases, operations
 
 AB = PrimitiveSet(terminals=("a", "b"))
 X = PrimitiveSet.for_inputs(1)
@@ -400,6 +411,83 @@ def test_invalid_subtrees_are_excluded_from_the_minimum():
     # best valid sub-expression is x itself
     assert got == huge
     assert canonical(Subexpression(c_tokens, row)) == "x"
+
+
+# --- decoding through a row store against the store-free rows (conftest) ---
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@st.composite
+def _genome_sequences(draw):
+    """A primitive set, a case set with an input per terminal and a few
+    genomes, later ones often an earlier one with a few genes redrawn, and
+    now and then one that ``validate_chromosome`` rejects."""
+    prims = draw(st.sampled_from([X, PrimitiveSet.for_inputs(2), PrimitiveSet(("x1", "x2"), ("sub", "div"))]))
+    inputs, n = len(prims.terminals), draw(st.sampled_from([1, 3, 20]))
+    # zeros and tiny divisors take the protected rule, huge values overflow
+    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 1e-13, 1e200, -1e200]))
+    cases = make_cases(draw(st.lists(st.lists(value, min_size=inputs, max_size=inputs), min_size=n, max_size=n)),
+                       draw(st.lists(value, min_size=n, max_size=n)))
+    gene = st.integers(0, prims.num_symbols - 1)
+    genomes = []
+    for _ in range(draw(st.integers(1, 5))):
+        if genomes and draw(st.booleans()):
+            genes = list(draw(st.sampled_from(genomes)))
+            for _ in range(draw(st.integers(0, 3))):
+                genes[draw(st.integers(0, len(genes) - 1))] = draw(gene)
+        else:
+            genes = draw(st.lists(gene, min_size=2, max_size=40))
+        if draw(st.integers(0, 9)) == 0:  # too short, or a gene out of range
+            genes = draw(st.sampled_from([genes[:1], genes[:-1] + [-1], genes[:-1] + [prims.num_symbols]]))
+        genomes.append(tuple(genes))
+    return prims, cases, genomes
+
+
+@given(_genome_sequences())
+@settings(max_examples=300, deadline=None)
+def test_decode_through_a_store_gives_what_the_store_free_rows_evaluate(sequence):
+    prims, cases, genomes = sequence
+    # the usual store; one whose budget holds less than one chromosome, so it
+    # grows and then clears on most calls; one of 48 rows, which clears
+    # every few calls
+    stores = [RowStore(cases), RowStore(cases, 0), RowStore(cases, 48 * 8 * cases.n)]
+    for _ in range(2):
+        for genes in genomes:
+            c = IfgpChromosome(genes)
+            try:
+                expr = decode(c, prims)
+            except ValueError as exc:
+                reset_ops()
+                for store in stores:
+                    with pytest.raises(ValueError) as raised:
+                        decode(c, prims, store)
+                    assert str(raised.value) == str(exc)
+                for store in [None, *stores]:
+                    for mode in MODES:
+                        with pytest.raises(ValueError) as raised:
+                            fitness(c, cases, prims, mode, store)
+                        assert str(raised.value) == str(exc)
+                assert ops_applied() == 0
+                continue
+            table = evaluate_rows(expr.rows, cases.inputs.T, cases)
+            ops = operations(expr.rows, cases)
+            want_errors = table.errors.tolist()
+            want = {"multi": best(want_errors), "single": (want_errors[-1], len(want_errors) - 1)}
+            for store in stores:
+                reset_ops()
+                lowered = decode(c, prims, store)
+                assert ops_applied() == ops
+                assert lowered.tokens == list(expr.tokens)
+                assert _bits([lowered.errors[i] for i in lowered.ids]) == table.errors.tobytes()
+            for store in [None, *stores]:
+                for mode in MODES:
+                    reset_ops()
+                    fit, row = fitness(c, cases, prims, mode, store)
+                    assert ops_applied() == ops
+                    assert (_bits([fit]), row) == (_bits([want[mode][0]]), want[mode][1])
+            reset_ops()
 
 
 # --- search operators ---
