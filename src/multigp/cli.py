@@ -6,9 +6,10 @@ Subcommands:
   paper  a preset experiment (both variants, f1..f4), CSV + SVG output
   plot   re-render SVG curves from a previously written CSV report
 
-A config file (JSON object or key=value lines) supplies defaults; explicit
-flags override it.  The default output directory comes from MULTIGP_OUT when
-set.  Solver success is reported as data, never as the exit status.
+Each setting has one default, in ``CliConfig``, and one converter, in
+``_OPTION_TYPES``.  A flag beats the config file (a JSON object or key=value
+lines), which beats MULTIGP_OUT (for the output directory), which beats the
+default.  Solver success is reported as data, never as the exit status.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .core import MODES, TARGET_FUNCTIONS, check_mode, check_settings, read_cases_csv
@@ -47,7 +48,8 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# converters for config-file values, given as key=value text (see _config_text)
+# the converter of each setting, for its flag and for its config-file value
+# given as key=value text (see _config_text)
 _OPTION_TYPES = {
     "technique": str,
     "problem": str,
@@ -89,7 +91,7 @@ class CliConfig:
     values: tuple[int, ...] | None = None
     experiment: str | None = None
     problems: tuple[str, ...] | None = None
-    out_dir: str = "."
+    out_dir: str = field(default_factory=lambda: os.environ.get("MULTIGP_OUT", "."))
     stem: str | None = None
     dataset: str | None = None
     csv_path: str | None = None
@@ -150,92 +152,70 @@ def _load_config_file(path: str) -> dict:
     return resolved
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """Build the CLI parser; ``config`` entries replace option defaults.
-
-    Defaults must be rewritten on each subcommand parser: subcommands parse
-    into a fresh namespace whose values overwrite the top-level one, so
-    ``set_defaults`` on the root parser alone would be ignored.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """Build the CLI parser.  Its options have no defaults: a flag left out
+    stays out of the namespace, so ``main`` can lay the flags over the config
+    file and ``CliConfig``'s defaults."""
     parser = argparse.ArgumentParser(
         prog="multigp",
         description="multi-solution genetic programming benchmarks",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    out_default = os.environ.get("MULTIGP_OUT", ".")
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # a subparser does not inherit the root parser's argument_default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    def option(p: argparse.ArgumentParser, flag: str, dest: str | None = None, **kwargs) -> None:
+        """Add ``flag`` for setting ``dest``, converted by ``_OPTION_TYPES``."""
+        dest = dest or flag[2:]
+        p.add_argument(flag, dest=dest, type=_OPTION_TYPES[dest], **kwargs)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None,
-                       help="config file (JSON or key=value lines); flags override")
-        p.add_argument("--out", dest="out_dir", default=out_default,
-                       help="output directory (default: $MULTIGP_OUT or .)")
+        # added last, so that they close each usage line
+        p.add_argument("--config", help="config file (JSON or key=value lines); flags override")
+        option(p, "--out", "out_dir", help="output directory (default: $MULTIGP_OUT or .)")
 
     def run_settings(p: argparse.ArgumentParser) -> None:
         """The settings of the runs themselves, shared by run and sweep."""
-        p.add_argument("--technique", choices=TECHNIQUES, default="mep")
-        p.add_argument("--problem", default="f1")
-        p.add_argument("--length", dest="chromosome_length", type=int, default=20)
-        p.add_argument("--pop", dest="population_size", type=int,
-                       default=EvolutionConfig.population_size)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--generations", type=int, default=EvolutionConfig.generations)
-        p.add_argument("--crossover", dest="crossover_probability", type=float,
-                       default=EvolutionConfig.crossover_probability)
-        p.add_argument("--mutations", type=int, default=EvolutionConfig.mutations)
-        p.add_argument("--dataset", default=None, help="pin fitness cases from a CSV file")
+        option(p, "--technique", choices=TECHNIQUES)
+        option(p, "--problem")
+        option(p, "--length", "chromosome_length")
+        option(p, "--pop", "population_size")
+        option(p, "--seed")
+        option(p, "--generations")
+        option(p, "--crossover", "crossover_probability")
+        option(p, "--mutations")
+        option(p, "--dataset", help="pin fitness cases from a CSV file")
 
-    run_p = sub.add_parser("run", help="one evolution run")
+    run_p = command("run", "one evolution run")
     run_settings(run_p)
-    run_p.add_argument("--mode", choices=MODES, default="multi")
+    option(run_p, "--mode", choices=MODES)
     common(run_p)
 
-    sweep_p = sub.add_parser("sweep", help="parameter sweep, both variants of one technique")
+    sweep_p = command("sweep", "parameter sweep, both variants of one technique")
     run_settings(sweep_p)
-    sweep_p.add_argument("--param", choices=PARAMS, default="chromosome_length")
-    sweep_p.add_argument("--values", type=_parse_ints, default=None,
-                         help="comma-separated swept values")
-    sweep_p.add_argument("--runs", type=int, default=100)
-    sweep_p.add_argument("--jobs", type=int, default=1)
-    sweep_p.add_argument("--stem", default=None, help="output file stem")
+    option(sweep_p, "--param", choices=PARAMS)
+    option(sweep_p, "--values", help="comma-separated swept values")
+    option(sweep_p, "--runs")
+    option(sweep_p, "--jobs")
+    option(sweep_p, "--stem", help="output file stem")
     common(sweep_p)
 
-    paper_p = sub.add_parser("paper", help="preset experiment (figure1..figure7 outputs)")
+    paper_p = command("paper", "preset experiment (figure1..figure7 outputs)")
     paper_p.add_argument("experiment", help="one of " + ", ".join(sorted(PRESET_EXPERIMENTS)))
-    paper_p.add_argument("--runs", type=int, default=100)
-    paper_p.add_argument("--seed", type=int, default=1)
-    paper_p.add_argument("--jobs", type=int, default=1)
-    paper_p.add_argument("--problems", type=_parse_names, default=None,
-                         help="comma-separated subset of f1,f2,f3,f4")
-    paper_p.add_argument("--values", type=_parse_ints, default=None,
-                         help="override the preset's swept values")
+    option(paper_p, "--runs")
+    option(paper_p, "--seed")
+    option(paper_p, "--jobs")
+    option(paper_p, "--problems", help="comma-separated subset of f1,f2,f3,f4")
+    option(paper_p, "--values", help="override the preset's swept values")
     common(paper_p)
 
-    plot_p = sub.add_parser("plot", help="render SVG curves from a CSV report")
-    plot_p.add_argument("--csv", dest="csv_path", required=True)
-    plot_p.add_argument("--stem", default=None)
+    plot_p = command("plot", "render SVG curves from a CSV report")
+    option(plot_p, "--csv", "csv_path", required=True)
+    option(plot_p, "--stem")
     common(plot_p)
-
-    if config:
-        for p in (run_p, sweep_p, paper_p, plot_p):
-            p.set_defaults(**config)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(subcommand=args.subcommand)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
 
 
 def cmd_run(cfg: CliConfig) -> int:
@@ -319,9 +299,14 @@ def cmd_paper(cfg: CliConfig) -> int:
         print(f"error: unknown experiment {cfg.experiment!r}; "
               f"choose from {sorted(PRESET_EXPERIMENTS)}", file=sys.stderr)
         return 2
+    problems = PROBLEM_IDS if cfg.problems is None else cfg.problems
+    if not problems or len(set(problems)) < len(problems):
+        print(f"error: --problems must list one or more distinct problems, not {list(problems)}",
+              file=sys.stderr)
+        return 2
     specs = preset_sweep_specs(
         cfg.experiment,
-        problems=cfg.problems or PROBLEM_IDS,
+        problems=problems,
         runs=cfg.runs,
         base_seed=cfg.seed,
         jobs=cfg.jobs,
@@ -343,7 +328,11 @@ def cmd_plot(cfg: CliConfig) -> int:
     if not path.exists():
         print(f"error: no such report {path}", file=sys.stderr)
         return 2
-    points = parse_csv(path.read_bytes())
+    try:
+        points = parse_csv(path.read_bytes())
+    except ValueError as exc:
+        print(f"error: bad report {path}: {exc}", file=sys.stderr)
+        return 2
     if not points:
         print("error: report holds no data rows", file=sys.stderr)
         return 2
@@ -364,21 +353,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    config = None
-    config_path = _extract_config_path(argv)
-    if config_path:
-        try:
-            config = _load_config_file(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 2
-    parser = build_parser(config)
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
+    config_path = flags.pop("config", None)
+    try:
+        config = _load_config_file(config_path) if config_path else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: bad config file: {exc}", file=sys.stderr)
+        return 2
+    cfg = CliConfig(**{**config, **flags})
     try:
         cfg.validate()
     except ValueError as exc:

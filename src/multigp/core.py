@@ -92,14 +92,13 @@ class RowTable:
     errors: np.ndarray  # (R,)
 
 
-def best(errors: list[float], start: int = 0) -> tuple[float, int]:
-    """Lowest error among rows ``start..`` and its row; ties go to the lowest row."""
+def best(errors: list[float]) -> tuple[float, int]:
+    """Lowest error and its row; ties go to the lowest row."""
     # invalid rows hold +inf, and only a leaf holding NaN (no encoding
     # passes one) gives a NaN error, so min and the first index of it
     # pick the row argmin would
-    errs = errors[start:] if start else errors
-    low = min(errs)
-    return low, start + errs.index(low)
+    low = min(errors)
+    return low, errors.index(low)
 
 
 def recombine(genes1, genes2, takes) -> tuple[tuple, tuple]:

@@ -229,18 +229,27 @@ def emit_csv(report: ExperimentReport) -> bytes:
 
 
 def parse_csv(data: bytes | str) -> list[SweepPoint]:
+    """The points of a CSV report.  A header other than ``CSV_HEADER``, or a
+    row ``emit_csv`` could not have written, raises ``ValueError`` naming its
+    line."""
     text = data.decode() if isinstance(data, bytes) else data
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != CSV_HEADER.split(","):
+        raise ValueError(f"line 1: the header is not {CSV_HEADER}")
     points = []
     for row in reader:
-        points.append(SweepPoint(
-            variant=row["variant"],
-            problem=row["problem"],
-            param=row["param"],
-            value=int(row["value"]),
-            successes=int(row["successes"]),
-            runs=int(row["runs"]),
-        ))
+        if not row:
+            continue
+        try:
+            variant, problem, param, value, successes, runs, _ = row
+            point = SweepPoint(variant, problem, param, int(value), int(successes), int(runs))
+            if param not in PARAMS or not 0 <= point.successes <= point.runs or point.runs < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {reader.line_num}: {','.join(row)!r} is not a report row: "
+                             f"it needs integer value, successes and runs, runs >= 1, "
+                             f"0 <= successes <= runs and a param in {PARAMS}") from None
+        points.append(point)
     return points
 
 

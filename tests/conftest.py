@@ -159,5 +159,5 @@ def reference_fitness(technique, chrom, cases, mode):
     errors = table.errors.tolist()
     if mode == "single":
         return errors[output], single, ops
-    fit, row = best(errors, first)
-    return fit, row - first, ops
+    fit, row = best(errors[first:])
+    return fit, row, ops

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import multigp
+from multigp import cli
 from multigp.cli import main
-from multigp.harness import ExperimentReport, parse_csv, render_svg
+from multigp.harness import CSV_HEADER, ExperimentReport, parse_csv, render_svg
 
 from conftest import make_cases, write_cases_csv
 
@@ -197,6 +198,88 @@ def test_explicit_flags_override_the_config_file(tmp_path, capsys):
     assert (tmp_path / "run-mep-f1-seed9.json").exists()
 
 
+@pytest.mark.parametrize("flag, config, env, out_dir, seed", [
+    (False, False, False, ".", 1),
+    (False, False, True, "env-out", 1),
+    (False, True, False, "config-out", 7),
+    (False, True, True, "config-out", 7),
+    (True, False, False, "flag-out", 9),
+    (True, True, True, "flag-out", 9),
+])
+def test_a_flag_beats_the_config_file_which_beats_the_env_var_which_beats_the_default(
+        tmp_path, monkeypatch, capsys, flag, config, env, out_dir, seed):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MULTIGP_OUT", raising=False)
+    argv = ["run", "--length", "5", "--pop", "4", "--generations", "1"]
+    if env:
+        monkeypatch.setenv("MULTIGP_OUT", "env-out")
+    if config:
+        (tmp_path / "cfg.ini").write_text("seed=7\nout_dir=config-out\n")
+        argv += ["--config", "cfg.ini"]
+    if flag:
+        argv += ["--seed", "9", "--out", "flag-out"]
+    assert main(argv) == 0
+    cfg, _ = echo_of(capsys)
+    assert (cfg["out_dir"], cfg["seed"]) == (out_dir, seed)
+    assert (tmp_path / out_dir / f"run-mep-f1-seed{seed}.json").exists()
+
+
+def test_a_config_key_without_a_flag_on_the_subcommand_is_echoed(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text("runs=5\n")
+    assert main(TINY_RUN + ["--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    cfg, _ = echo_of(capsys)
+    assert cfg["runs"] == 5
+
+
+# setting: (a subcommand with a flag for it, the flag, a text that is not the default)
+FLAG_TEXTS = {
+    "technique": ("run", "--technique", "lgp"),
+    "problem": ("run", "--problem", "f2"),
+    "problems": ("paper", "--problems", "f2,f3"),
+    "mode": ("run", "--mode", "single"),
+    "chromosome_length": ("run", "--length", "6"),
+    "population_size": ("run", "--pop", "8"),
+    "seed": ("run", "--seed", "4"),
+    "runs": ("sweep", "--runs", "3"),
+    "generations": ("run", "--generations", "2"),
+    "crossover_probability": ("run", "--crossover", "0.5"),
+    "mutations": ("run", "--mutations", "1"),
+    "jobs": ("sweep", "--jobs", "2"),
+    "param": ("sweep", "--param", "population_size"),
+    "values": ("sweep", "--values", "4,8"),
+    "out_dir": ("run", "--out", "elsewhere"),
+    "stem": ("sweep", "--stem", "mystem"),
+    "dataset": ("run", "--dataset", "cases.csv"),
+    "csv_path": ("plot", "--csv", "report.csv"),
+}
+
+
+def test_every_setting_but_the_positional_experiment_has_a_flag():
+    assert set(FLAG_TEXTS) == set(cli._OPTION_TYPES) - {"experiment"}
+
+
+@pytest.mark.parametrize("key", sorted(FLAG_TEXTS))
+def test_a_flag_and_the_same_text_in_a_config_file_give_the_same_setting(
+        tmp_path, monkeypatch, capsys, key):
+    subcommand, flag, text = FLAG_TEXTS[key]
+    # plot requires --csv, so its file route goes through run, which has no --csv
+    file_subcommand = "run" if key == "csv_path" else subcommand
+    for name in (subcommand, file_subcommand):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg: 0)
+
+    def echoed(name, *args):
+        positional = {"paper": ["mep-exp1"], "plot": ["--csv", "r.csv"]}.get(name, [])
+        assert main([name, *positional, *args]) == 0
+        return echo_of(capsys)[0][key]
+
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(f"{key}={text}\n")
+    by_flag = echoed(subcommand, flag, text)
+    assert by_flag == echoed(file_subcommand, "--config", str(cfg_file))
+    assert by_flag != echoed(file_subcommand)
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.ini"
     cfg_file.write_text("tournament_size=4\n")
@@ -329,6 +412,15 @@ def test_paper_rejects_unknown_problem_subsets(tmp_path, capsys):
     assert "f9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problems, shown", [("f1,f1", "['f1', 'f1']"), (",", "[]")])
+def test_paper_rejects_a_repeated_or_empty_problem_list(tmp_path, capsys, problems, shown):
+    code = main(["paper", "mep-exp1", "--runs", "1", "--problems", problems, "--values", "4",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert f"--problems must list one or more distinct problems, not {shown}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # --- plot ---
 
 def test_plot_rebuilds_the_svg_from_a_csv(tmp_path, capsys):
@@ -357,3 +449,26 @@ def test_plot_rejects_missing_or_empty_reports(tmp_path, capsys):
     empty.write_text("variant,problem,param,value,successes,runs,success_rate\n")
     assert main(["plot", "--csv", str(empty)]) == 2
     assert "no data rows" in capsys.readouterr().err
+
+
+GOOD_ROW = "mep,f1,chromosome_length,4,1,2,0.5000"
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    ([CSV_HEADER.replace("variant", "method"), GOOD_ROW], 1),
+    ([GOOD_ROW], 1),
+    ([CSV_HEADER, GOOD_ROW, "mep,f1,chromosome_length,8,0,0,0.0000"], 3),
+    ([CSV_HEADER, GOOD_ROW, "mep,f1,chromosome_length,8,3,2,1.5000"], 3),
+    ([CSV_HEADER, GOOD_ROW, "mep,f1,chromosome_length,8,-1,2,0.0000"], 3),
+    ([CSV_HEADER, "mep,f1,pop,4,1,2,0.5000"], 2),
+    ([CSV_HEADER, "mep,f1,chromosome_length,4.5,1,2,0.5000"], 2),
+    ([CSV_HEADER, "mep,f1,chromosome_length,4,1"], 2),
+])
+def test_plot_rejects_a_malformed_report_naming_the_file_and_line(tmp_path, capsys, lines, bad_line):
+    report = tmp_path / "bad.csv"
+    report.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["plot", "--csv", str(report), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad report {report}: line {bad_line}: ")
+    assert not out.exists()

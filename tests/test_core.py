@@ -204,7 +204,8 @@ def test_evaluate_rows_by_hand():
         # |1-2| + |2-2| + |3-2|, |1-2| + |4-2| + |9-2|, |0-2| + |2-2| + |6-2|
         assert table.errors.tolist() == [2.0, 10.0, 6.0]
         assert best(table.errors.tolist()) == (2.0, 0)
-        assert best(table.errors.tolist(), 1) == (6.0, 2)
+        fit, row = best(table.errors.tolist()[1:])
+        assert (fit, 1 + row) == (6.0, 2)
 
 
 def test_evaluate_rows_taints_every_row_built_on_an_invalid_one():
@@ -264,7 +265,8 @@ def _assert_matches_reference(rows, leaves, cases):
     nan_rows = np.flatnonzero(np.isnan(errors)).tolist()
     assert all(rows[i][0] is None for i in nan_rows)
     for start in range(max(nan_rows, default=-1) + 1, len(rows)):
-        assert best(table.errors.tolist(), start) == _reference_best(errors, start)
+        fit, row = best(table.errors.tolist()[start:])
+        assert (fit, start + row) == _reference_best(errors, start)
     return table
 
 

@@ -275,8 +275,7 @@ def test_execute_lowers_into_the_store_as_the_ssa_rows_evaluate(sequence):
                 assert ops_applied() == ops
                 assert _bits(errors) == table.errors[first:].tobytes()
                 assert _bits([output_error]) == _bits([want_errors[output]])
-            fit, row = best(want_errors, first)
-            want = {"multi": (fit, row - first),
+            want = {"multi": best(want_errors[first:]),
                     "single": (want_errors[output], output - first if output >= first else INITIAL_R0)}
             for store in [None, *stores]:
                 for mode in MODES:
