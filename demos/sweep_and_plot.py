@@ -9,14 +9,17 @@ fraction of runs whose best error drops below the success threshold.
 
 from pathlib import Path
 
+from multigp.engine import EvolutionConfig
 from multigp.harness import SweepSpec, emit_plot, run_sweep, write_csv
 
 out = Path(__file__).resolve().parent / "out"
 out.mkdir(exist_ok=True)
 
-spec = SweepSpec(technique="mep", problem="f1", param="chromosome_length",
-                 values=(4, 8, 12), runs=10, base_seed=7)
-report = run_sweep(spec)
+# the config holds every run setting; each point sets the mode and the length
+spec = SweepSpec(EvolutionConfig("mep", chromosome_length=4), problem="f1",
+                 param="chromosome_length", values=(4, 8, 12), runs=10, base_seed=7)
+# run_sweep takes a list of specs; with jobs > 1 it runs all their tasks on one pool
+report = run_sweep([spec], jobs=1)
 for point in report.points:
     print(f"{point.variant:4s} length {point.value:2d}: "
           f"{point.successes:2d}/{point.runs} -> {point.success_rate:.2f}")

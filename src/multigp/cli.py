@@ -29,7 +29,6 @@ from .harness import (
     PROBLEM_IDS,
     ExperimentReport,
     SweepSpec,
-    combine_reports,
     emit_plot,
     parse_csv,
     preset_sweep_specs,
@@ -105,7 +104,8 @@ class CliConfig:
             self.run_config().validate()
 
     def run_config(self) -> EvolutionConfig:
-        """The engine settings of ``run``."""
+        """The engine settings of ``run``, and of each ``sweep`` point but its mode and
+        swept parameter."""
         return EvolutionConfig(self.technique, self.chromosome_length, self.mode, self.population_size,
                                self.generations, self.crossover_probability, self.mutations)
 
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sweep_p)
 
     paper_p = command("paper", "preset experiment (figure1..figure7 outputs)")
-    paper_p.add_argument("experiment", help="one of " + ", ".join(sorted(PRESET_EXPERIMENTS)))
+    paper_p.add_argument("experiment", nargs="?", help="one of " + ", ".join(sorted(PRESET_EXPERIMENTS)))
     option(paper_p, "--runs")
     option(paper_p, "--seed")
     option(paper_p, "--jobs")
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(paper_p)
 
     plot_p = command("plot", "render SVG curves from a CSV report")
-    option(plot_p, "--csv", "csv_path", required=True)
+    option(plot_p, "--csv", "csv_path")
     option(plot_p, "--stem")
     common(plot_p)
     return parser
@@ -251,8 +251,14 @@ def cmd_run(cfg: CliConfig) -> int:
     return 0
 
 
-def _write_report(report: ExperimentReport, out_dir: str, stem: str) -> int:
-    out = Path(out_dir)
+def _sweep(specs: list[SweepSpec], cfg: CliConfig, stem: str) -> int:
+    """Run the specs on one pool and write their report files under ``stem``."""
+    try:
+        report = run_sweep(specs, cfg.jobs)
+    except ValueError as exc:  # a bad spec: run_sweep checks each before the first run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = write_csv(report, out / f"{stem}.csv")
     log_path = write_run_log(report, out / f"{stem}-runs.jsonl")
@@ -269,32 +275,15 @@ def cmd_sweep(cfg: CliConfig) -> int:
     if not cfg.values:
         print("error: sweep needs --values", file=sys.stderr)
         return 2
-    spec = SweepSpec(
-        technique=cfg.technique,
-        problem=cfg.problem,
-        param=cfg.param,
-        values=tuple(cfg.values),
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        population_size=cfg.population_size,
-        chromosome_length=cfg.chromosome_length,
-        generations=cfg.generations,
-        crossover_probability=cfg.crossover_probability,
-        mutations=cfg.mutations,
-        jobs=cfg.jobs,
-        dataset=read_cases_csv(cfg.dataset) if cfg.dataset else None,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_sweep(spec)
-    stem = cfg.stem or f"sweep-{cfg.technique}-{cfg.problem}-{cfg.param}"
-    return _write_report(report, cfg.out_dir, stem)
+    spec = SweepSpec(cfg.run_config(), cfg.problem, cfg.param, tuple(cfg.values), cfg.runs, cfg.seed,
+                     read_cases_csv(cfg.dataset) if cfg.dataset else None)
+    return _sweep([spec], cfg, cfg.stem or f"sweep-{cfg.technique}-{cfg.problem}-{cfg.param}")
 
 
 def cmd_paper(cfg: CliConfig) -> int:
+    if cfg.experiment is None:
+        print("error: paper needs an experiment", file=sys.stderr)
+        return 2
     if cfg.experiment not in PRESET_EXPERIMENTS:
         print(f"error: unknown experiment {cfg.experiment!r}; "
               f"choose from {sorted(PRESET_EXPERIMENTS)}", file=sys.stderr)
@@ -304,41 +293,28 @@ def cmd_paper(cfg: CliConfig) -> int:
         print(f"error: --problems must list one or more distinct problems, not {list(problems)}",
               file=sys.stderr)
         return 2
-    specs = preset_sweep_specs(
-        cfg.experiment,
-        problems=problems,
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        jobs=cfg.jobs,
-        values=cfg.values,
-    )
-    try:
-        for spec in specs:
-            spec.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = combine_reports([run_sweep(spec) for spec in specs])
-    stem = PRESET_EXPERIMENTS[cfg.experiment].figure
-    return _write_report(report, cfg.out_dir, stem)
+    specs = preset_sweep_specs(cfg.experiment, problems, cfg.runs, cfg.seed, cfg.values)
+    return _sweep(specs, cfg, PRESET_EXPERIMENTS[cfg.experiment].figure)
 
 
 def cmd_plot(cfg: CliConfig) -> int:
+    if cfg.csv_path is None:
+        print("error: plot needs --csv", file=sys.stderr)
+        return 2
     path = Path(cfg.csv_path)
     if not path.exists():
         print(f"error: no such report {path}", file=sys.stderr)
         return 2
     try:
         points = parse_csv(path.read_bytes())
+        if not points:
+            print("error: report holds no data rows", file=sys.stderr)
+            return 2
+        # emit_plot renders every curve, so rejects mixed swept parameters, before it writes
+        svg_paths = emit_plot(ExperimentReport(points=points), cfg.out_dir, stem=cfg.stem or path.stem)
     except ValueError as exc:
         print(f"error: bad report {path}: {exc}", file=sys.stderr)
         return 2
-    if not points:
-        print("error: report holds no data rows", file=sys.stderr)
-        return 2
-    report = ExperimentReport(points=points)
-    stem = cfg.stem or path.stem
-    svg_paths = emit_plot(report, cfg.out_dir, stem=stem)
     for out in svg_paths:
         print(f"wrote {out}")
     return 0

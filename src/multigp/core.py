@@ -405,21 +405,21 @@ BLOCK_WORDS = 256
 
 
 @cache
-def _xoshiro_tables() -> tuple[np.ndarray, np.ndarray]:
+def _xoshiro_tables() -> np.ndarray:
     """Run xoshiro256**'s linear state update from the 256 unit states at once.
 
-    Returns the (256, BLOCK_WORDS) table of ``s1`` at steps
-    0..BLOCK_WORDS-1 and the (256, 4) state BLOCK_WORDS steps on, row i
-    starting from state bit i alone (bit ``64 * w + j`` is bit j of word w).
-    The update is linear over GF(2), so from any state both are the XOR of
-    the rows of its set bits (Blackman & Vigna 2021; Haramoto et al. 2008).
+    Returns a (256, BLOCK_WORDS + 4) table whose row i starts from state bit
+    i alone (bit ``64 * w + j`` is bit j of word w): ``s1`` at steps
+    0..BLOCK_WORDS-1, then the four state words BLOCK_WORDS steps on.  The
+    update is linear over GF(2), so from any state the whole row is the XOR
+    of the rows of its set bits (Blackman & Vigna 2021; Haramoto et al. 2008).
     """
     unit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     s = np.zeros((4, 256), dtype=np.uint64)
     for w in range(4):
         s[w, 64 * w:64 * (w + 1)] = unit
     s0, s1, s2, s3 = s
-    table = np.empty((256, BLOCK_WORDS), dtype=np.uint64)
+    table = np.empty((256, BLOCK_WORDS + 4), dtype=np.uint64)
     for k in range(BLOCK_WORDS):
         table[:, k] = s1
         t = s1 << np.uint64(17)
@@ -429,9 +429,9 @@ def _xoshiro_tables() -> tuple[np.ndarray, np.ndarray]:
         s0 ^= s3
         s2 ^= t
         s3[:] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-    jump = np.ascontiguousarray(s.T)
-    table.flags.writeable = jump.flags.writeable = False
-    return table, jump
+    table[:, BLOCK_WORDS:] = s.T
+    table.flags.writeable = False
+    return table
 
 
 class RandomSource:
@@ -439,7 +439,7 @@ class RandomSource:
 
     The draw sequence depends only on the 64-bit seed, so runs replay
     identically on any platform.  Words are produced ``BLOCK_WORDS`` at a time
-    from precomputed GF(2) tables, the same words in the same order as the
+    from a precomputed GF(2) table, the same words in the same order as the
     generator stepped one word at a time.  Every derived draw takes exactly
     one word through :meth:`next_uint64`:
 
@@ -465,16 +465,16 @@ class RandomSource:
         self._words: list[int] = []
 
     def _refill(self) -> None:
-        table, jump = _xoshiro_tables()
         bits = np.flatnonzero(np.unpackbits(
             self._state.astype("<u8", copy=False).view(np.uint8), bitorder="little"))
-        x = np.bitwise_xor.reduce(table[bits], axis=0)
+        row = np.bitwise_xor.reduce(_xoshiro_tables()[bits], axis=0)
+        self._state = row[BLOCK_WORDS:]
+        x = row[:BLOCK_WORDS]
         x *= np.uint64(5)  # the ** scrambler, in place: rotl(x * 5, 7) * 9
         high = x >> np.uint64(57)
         x <<= np.uint64(7)
         x |= high
         x *= np.uint64(9)
-        self._state = np.bitwise_xor.reduce(jump[bits], axis=0)
         self._words = x[::-1].tolist()
 
     def next_uint64(self) -> int:

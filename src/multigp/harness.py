@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
 
-from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, check_settings, make_problem
+from .core import PROBLEM_IDS, TARGET_FUNCTIONS, FitnessCaseSet, RandomSource, make_problem
 from .engine import EvolutionConfig, RunResult, run_evolution
 
 # label -> (technique, fitness mode); multi-solution label first in each pair
@@ -47,18 +47,15 @@ def variant_pair(technique: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    technique: str
+    """Both readings of ``config.technique`` on one problem, with ``param``
+    swept over ``values``; run i of every point uses seed ``base_seed + i``."""
+
+    config: EvolutionConfig
     problem: str
     param: str
     values: tuple[int, ...]
     runs: int = 100
     base_seed: int = 0
-    population_size: int = EvolutionConfig.population_size
-    chromosome_length: int = 20
-    generations: int = EvolutionConfig.generations
-    crossover_probability: float = EvolutionConfig.crossover_probability
-    mutations: int = EvolutionConfig.mutations
-    jobs: int = 1
     dataset: FitnessCaseSet | None = None
 
     def validate(self) -> None:
@@ -70,21 +67,14 @@ class SweepSpec:
             raise ValueError("no swept values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("swept values must be strictly increasing")
-        check_settings(self, "runs", "jobs")
+        if self.runs < 1:
+            raise ValueError("runs must be positive")
         self.point_config(self.values[0], "multi").validate()  # values are increasing: the smallest point
 
     def point_config(self, value: int, mode: str) -> EvolutionConfig:
-        """The run settings of the sweep point at ``value`` under ``mode``."""
-        sizes = {"chromosome_length": self.chromosome_length,
-                 "population_size": self.population_size, self.param: value}
-        return EvolutionConfig(
-            technique=self.technique,
-            mode=mode,
-            generations=self.generations,
-            crossover_probability=self.crossover_probability,
-            mutations=self.mutations,
-            **sizes,
-        )
+        """The run settings of the sweep point at ``value`` under ``mode``:
+        ``config`` with its mode and its swept parameter set by the sweep."""
+        return replace(self.config, mode=mode, **{self.param: value})
 
 
 @dataclass(frozen=True)
@@ -161,55 +151,43 @@ def _run_task(task: tuple) -> tuple[int, float, bool, str]:
     return seed, result.final_fitness, result.success, result.expression
 
 
-def _point_grid(spec: SweepSpec) -> list[tuple[str, int]]:
-    grid = []
-    for variant in variant_pair(spec.technique):
-        for value in spec.values:
-            grid.append((variant, value))
-    return grid
-
-
-def run_sweep(spec: SweepSpec) -> ExperimentReport:
-    spec.validate()
-    tasks = []
-    for variant, value in _point_grid(spec):
-        cfg = spec.point_config(value, VARIANTS[variant][1])
-        for i in range(spec.runs):
-            tasks.append((variant, spec.problem, spec.base_seed + i, cfg, spec.dataset))
-    if spec.jobs > 1:
-        with get_context("fork").Pool(spec.jobs) as pool:
-            outcomes = pool.map(_run_task, tasks, chunksize=1)
+def run_sweep(specs: list[SweepSpec], jobs: int = 1) -> ExperimentReport:
+    """Run every point of every spec as one task list, on one fork pool of
+    ``jobs`` workers when ``jobs > 1`` and in-process otherwise, into one
+    report."""
+    for spec in specs:
+        spec.validate()
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    cells = [(spec, variant, value) for spec in specs
+             for variant in variant_pair(spec.config.technique) for value in spec.values]
+    tasks = [(variant, spec.problem, spec.base_seed + i,
+              spec.point_config(value, VARIANTS[variant][1]), spec.dataset)
+             for spec, variant, value in cells for i in range(spec.runs)]
+    if jobs > 1:
+        with get_context("fork").Pool(jobs) as pool:
+            outcomes = iter(pool.map(_run_task, tasks, chunksize=1))
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = map(_run_task, tasks)
 
     points, run_log = [], []
-    cursor = 0
-    for variant, value in _point_grid(spec):
+    for spec, variant, value in cells:
         successes = 0
-        for run_index in range(spec.runs):
-            seed, fitness, success, expression = outcomes[cursor]
-            cursor += 1
+        for i in range(spec.runs):
+            seed, fitness, success, expression = next(outcomes)
             successes += success
             run_log.append({
                 "variant": variant,
                 "problem": spec.problem,
                 "param": spec.param,
                 "value": value,
-                "run": run_index,
+                "run": i,
                 "seed": seed,
                 "final_fitness": fitness,
                 "success": success,
                 "expression": expression,
             })
-        points.append(SweepPoint(variant, spec.problem, spec.param, value,
-                                 successes, spec.runs))
-    return ExperimentReport(points=points, run_log=run_log)
-
-
-def combine_reports(reports: list[ExperimentReport]) -> ExperimentReport:
-    """Merge sweeps (typically one per problem) into a single report."""
-    points = [p for r in reports for p in r.points]
-    run_log = [entry for r in reports for entry in r.run_log]
+        points.append(SweepPoint(variant, spec.problem, spec.param, value, successes, spec.runs))
     return ExperimentReport(points=points, run_log=run_log)
 
 
@@ -378,16 +356,19 @@ def render_svg(report: ExperimentReport, problem: str) -> str:
 
 
 def emit_plot(report: ExperimentReport, out_dir: str | Path, stem: str | None = None) -> list[Path]:
-    """Write one SVG per problem present in the report; returns the paths."""
+    """Write one SVG per problem present in the report; returns the paths.
+    Every document is rendered before anything is written, so a report that
+    cannot be plotted leaves no file and no directory behind."""
     if not report.points:
         raise ValueError("cannot plot an empty report")
+    documents = {problem: render_svg(report, problem)
+                 for problem in sorted({p.problem for p in report.points})}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for problem in sorted({p.problem for p in report.points}):
-        name = f"{stem}-{problem}.svg" if stem else f"{problem}.svg"
-        path = out_dir / name
-        path.write_text(render_svg(report, problem))
+    for problem, document in documents.items():
+        path = out_dir / (f"{stem}-{problem}.svg" if stem else f"{problem}.svg")
+        path.write_text(document)
         paths.append(path)
     return paths
 
@@ -425,24 +406,13 @@ def preset_sweep_specs(
     problems: tuple[str, ...] = PROBLEM_IDS,
     runs: int = 100,
     base_seed: int = 0,
-    jobs: int = 1,
     values: tuple[int, ...] | None = None,
 ) -> list[SweepSpec]:
     if experiment_id not in PRESET_EXPERIMENTS:
         raise KeyError(f"unknown experiment {experiment_id!r}; "
                        f"choose from {sorted(PRESET_EXPERIMENTS)}")
     preset = PRESET_EXPERIMENTS[experiment_id]
-    return [
-        SweepSpec(
-            technique=preset.technique,
-            problem=problem,
-            param=preset.param,
-            values=tuple(values) if values is not None else preset.values,
-            runs=runs,
-            base_seed=base_seed,
-            population_size=preset.population_size,
-            chromosome_length=preset.chromosome_length,
-            jobs=jobs,
-        )
-        for problem in problems
-    ]
+    config = EvolutionConfig(preset.technique, preset.chromosome_length,
+                             population_size=preset.population_size)
+    values = tuple(values) if values is not None else preset.values
+    return [SweepSpec(config, problem, preset.param, values, runs, base_seed) for problem in problems]

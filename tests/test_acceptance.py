@@ -5,11 +5,13 @@ pass/fail line per criterion.
 
 The benchmark criteria 4 and 6 share one session fixture of 100 runs per
 (variant, problem) cell at the preset configuration (population 50, length
-20, IFGP length 30, 51 generations); criterion 5 adds one more 100-run
-cell.  Expect roughly ten minutes for the fixture.
+20, IFGP length 30, 51 generations), run as one sweep on a process pool with
+a worker per core; criterion 5 adds one more 100-run cell, run serially.
+Expect a few minutes for the fixture on two cores.
 """
 
 import math
+import os
 import time
 
 import pytest
@@ -24,7 +26,7 @@ from multigp.core import (
     reset_ops,
 )
 from multigp.engine import EvolutionConfig, binary_tournament, run_evolution
-from multigp.harness import VARIANTS, run_one, variant_pair
+from multigp.harness import SweepSpec, run_one, run_sweep, variant_pair
 
 from conftest import StubRandom, make_cases
 
@@ -208,17 +210,15 @@ def test_criterion_3_worked_goldens():
 @pytest.fixture(scope="session")
 def preset_rates():
     """Success rates for all six variants on f1..f4 at the preset
-    configuration, 100 paired runs per cell."""
-    rates = {}
-    for variant in VARIANTS:
-        length = 30 if "ifgp" in variant else 20
+    configuration, 100 paired runs per cell, all 2,400 runs on one pool."""
+    specs = []
+    for technique in ("mep", "lgp", "ifgp"):
+        length = 30 if technique == "ifgp" else 20
         for problem in PROBLEM_IDS:
-            wins = 0
-            for i in range(PRESET_RUNS):
-                wins += run_one(variant, problem, length, 50,
-                                BASE_SEED + i).success
-            rates[variant, problem] = wins / PRESET_RUNS
-    return rates
+            specs.append(SweepSpec(EvolutionConfig(technique, length, population_size=50), problem,
+                                   "chromosome_length", (length,), PRESET_RUNS, BASE_SEED))
+    report = run_sweep(specs, jobs=os.cpu_count() or 1)
+    return {(p.variant, p.problem): p.success_rate for p in report.points}
 
 
 def test_criterion_4_multi_dominates_single(preset_rates):

@@ -14,6 +14,8 @@ from multigp.harness import CSV_HEADER, ExperimentReport, parse_csv, render_svg
 
 from conftest import make_cases, write_cases_csv
 
+GOOD_ROW = "mep,f1,chromosome_length,4,1,2,0.5000"
+
 TINY_RUN = ["run", "--length", "5", "--pop", "4", "--generations", "1", "--seed", "3"]
 
 
@@ -263,21 +265,58 @@ def test_every_setting_but_the_positional_experiment_has_a_flag():
 def test_a_flag_and_the_same_text_in_a_config_file_give_the_same_setting(
         tmp_path, monkeypatch, capsys, key):
     subcommand, flag, text = FLAG_TEXTS[key]
-    # plot requires --csv, so its file route goes through run, which has no --csv
-    file_subcommand = "run" if key == "csv_path" else subcommand
-    for name in (subcommand, file_subcommand):
-        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg: 0)
+    monkeypatch.setitem(cli._COMMANDS, subcommand, lambda cfg: 0)
 
-    def echoed(name, *args):
-        positional = {"paper": ["mep-exp1"], "plot": ["--csv", "r.csv"]}.get(name, [])
-        assert main([name, *positional, *args]) == 0
+    def echoed(*args):
+        positional = ["mep-exp1"] if subcommand == "paper" else []
+        assert main([subcommand, *positional, *args]) == 0
         return echo_of(capsys)[0][key]
 
     cfg_file = tmp_path / "cfg.ini"
     cfg_file.write_text(f"{key}={text}\n")
-    by_flag = echoed(subcommand, flag, text)
-    assert by_flag == echoed(file_subcommand, "--config", str(cfg_file))
-    assert by_flag != echoed(file_subcommand)
+    by_flag = echoed(flag, text)
+    assert by_flag == echoed("--config", str(cfg_file))
+    assert by_flag != echoed()
+
+
+def _paper_argv(how, tmp_path):
+    """``paper mep-exp1`` on a tiny grid, its experiment given ``how``."""
+    argv = ["paper", "--runs", "1", "--problems", "f1", "--values", "4", "--out", str(tmp_path / "out")]
+    if how == "flag":
+        return argv[:1] + ["mep-exp1"] + argv[1:]
+    if how == "config":
+        (tmp_path / "c.ini").write_text("experiment=mep-exp1\n")
+        return argv + ["--config", str(tmp_path / "c.ini")]
+    return argv
+
+
+def _plot_argv(how, tmp_path):
+    """``plot`` of a one-row report, its path given ``how``."""
+    report = tmp_path / "report.csv"
+    report.write_text(f"{CSV_HEADER}\n{GOOD_ROW}\n")
+    argv = ["plot", "--out", str(tmp_path / "out")]
+    if how == "flag":
+        return argv + ["--csv", str(report)]
+    if how == "config":
+        (tmp_path / "c.ini").write_text(f"csv_path={report}\n")
+        return argv + ["--config", str(tmp_path / "c.ini")]
+    return argv
+
+
+@pytest.mark.parametrize("argv_of, written", [(_paper_argv, "figure1-f1.svg"), (_plot_argv, "report-f1.svg")])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_the_experiment_and_the_report_path_come_from_a_flag_or_a_config_file(
+        tmp_path, capsys, argv_of, written, how):
+    assert main(argv_of(how, tmp_path)) == 0
+    assert (tmp_path / "out" / written).exists()
+
+
+@pytest.mark.parametrize("argv_of, message", [(_paper_argv, "error: paper needs an experiment\n"),
+                                              (_plot_argv, "error: plot needs --csv\n")])
+def test_a_missing_experiment_or_report_path_exits_2_naming_it(tmp_path, capsys, argv_of, message):
+    assert main(argv_of("missing", tmp_path)) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -451,9 +490,6 @@ def test_plot_rejects_missing_or_empty_reports(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
-GOOD_ROW = "mep,f1,chromosome_length,4,1,2,0.5000"
-
-
 @pytest.mark.parametrize("lines, bad_line", [
     ([CSV_HEADER.replace("variant", "method"), GOOD_ROW], 1),
     ([GOOD_ROW], 1),
@@ -471,4 +507,13 @@ def test_plot_rejects_a_malformed_report_naming_the_file_and_line(tmp_path, caps
     assert main(["plot", "--csv", str(report), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad report {report}: line {bad_line}: ")
+    assert not out.exists()
+
+
+def test_plot_rejects_mixed_swept_parameters_before_writing(tmp_path, capsys):
+    report = tmp_path / "mixed.csv"
+    report.write_text("\n".join([CSV_HEADER, GOOD_ROW, "sep,f1,population_size,10,1,2,0.5000"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["plot", "--csv", str(report), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad report {report}: mixed swept parameters in one plot\n"
     assert not out.exists()

@@ -12,7 +12,6 @@ from multigp.harness import (
     ExperimentReport,
     SweepPoint,
     SweepSpec,
-    combine_reports,
     emit_csv,
     emit_plot,
     parse_csv,
@@ -29,13 +28,13 @@ from conftest import make_cases
 
 
 def tiny_spec(**overrides):
-    base = dict(
-        technique="mep", problem="f1", param="chromosome_length",
-        values=(4, 8), runs=2, base_seed=11,
-        population_size=4, generations=1,
-    )
-    base.update(overrides)
-    return SweepSpec(**base)
+    """A small sweep; an override that names an ``EvolutionConfig`` field goes
+    to the spec's config."""
+    settings = dict(technique="mep", chromosome_length=20, population_size=4, generations=1)
+    base = dict(problem="f1", param="chromosome_length", values=(4, 8), runs=2, base_seed=11)
+    for key, value in overrides.items():
+        (settings if key in EvolutionConfig.__dataclass_fields__ else base)[key] = value
+    return SweepSpec(EvolutionConfig(**settings), **base)
 
 
 def identity_cases():
@@ -61,7 +60,7 @@ def test_variant_pairs_put_the_multi_label_first():
     {"values": (4, 4)},
     {"values": (8, 4)},
     {"runs": 0},
-    {"jobs": 0},
+    {"technique": "lgp", "population_size": 3},
     {"crossover_probability": 1.5},
     {"mutations": -1},
     {"values": (0, 4)},
@@ -72,6 +71,17 @@ def test_variant_pairs_put_the_multi_label_first():
 def test_spec_validation_rejects_bad_fields(overrides):
     with pytest.raises(ValueError):
         tiny_spec(**overrides).validate()
+
+
+def test_sweep_rejects_a_job_count_below_one():
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_sweep([tiny_spec()], jobs=0)
+
+
+def test_each_point_sets_the_mode_and_the_swept_parameter_and_keeps_the_rest():
+    spec = tiny_spec(param="population_size", values=(6, 9), mode="single", crossover_probability=0.5)
+    assert spec.point_config(9, "multi") == EvolutionConfig(
+        "mep", 20, "multi", 9, generations=1, crossover_probability=0.5)
 
 
 def test_unlisted_problem_is_fine_once_a_dataset_pins_the_cases():
@@ -117,7 +127,7 @@ def test_identity_dataset_is_solved_at_initialisation():
     # with one input the only terminal is x itself, and every multi-mode MEP
     # chromosome starts with a terminal gene, so the error is exactly zero
     spec = tiny_spec(problem="identity", values=(5,), dataset=identity_cases())
-    report = run_sweep(spec)
+    report = run_sweep([spec])
     by_variant = {p.variant: p for p in report.points}
     assert by_variant["mep"].successes == spec.runs
     assert by_variant["mep"].success_rate == 1.0
@@ -125,7 +135,7 @@ def test_identity_dataset_is_solved_at_initialisation():
 
 def test_sweep_covers_both_variants_and_logs_every_run():
     spec = tiny_spec()
-    report = run_sweep(spec)
+    report = run_sweep([spec])
     assert [(p.variant, p.value) for p in report.points] == [
         ("mep", 4), ("mep", 8), ("sep", 4), ("sep", 8),
     ]
@@ -138,7 +148,7 @@ def test_sweep_covers_both_variants_and_logs_every_run():
 
 
 def test_sweep_points_agree_with_their_run_log():
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     for point in report.points:
         entries = [e for e in report.run_log
                    if e["variant"] == point.variant and e["value"] == point.value]
@@ -148,22 +158,22 @@ def test_sweep_points_agree_with_their_run_log():
 
 def test_sweep_is_deterministic_and_order_independent():
     spec = tiny_spec()
-    first = run_sweep(spec)
-    second = run_sweep(spec)
+    first = run_sweep([spec])
+    second = run_sweep([spec])
     assert first == second
     assert first.run_log == second.run_log
-    parallel = run_sweep(tiny_spec(jobs=2))
+    parallel = run_sweep([spec], jobs=2)
     assert parallel == first
     assert parallel.run_log == first.run_log
 
 
 def test_any_logged_run_replays_in_isolation():
     spec = tiny_spec()
-    report = run_sweep(spec)
+    report = run_sweep([spec])
     entry = report.run_log[-1]
     replay = run_one(
         entry["variant"], entry["problem"], entry["value"],
-        spec.population_size, entry["seed"], generations=spec.generations,
+        spec.config.population_size, entry["seed"], generations=spec.config.generations,
     )
     assert replay.final_fitness == entry["final_fitness"]
     assert replay.expression == entry["expression"]
@@ -180,9 +190,9 @@ def test_a_failing_run_names_itself_and_its_replay(monkeypatch, tmp_path, jobs):
 
     # a forked pool worker inherits the patched module
     monkeypatch.setattr(harness, "run", run)
-    spec = tiny_spec(technique="lgp", values=(4,), runs=3, population_size=5, generations=2, jobs=jobs)
+    spec = tiny_spec(technique="lgp", values=(4,), runs=3, population_size=5, generations=2)
     with pytest.raises(harness.RunError) as failure:
-        run_sweep(spec)
+        run_sweep([spec], jobs)
     message = str(failure.value)
     assert message.startswith("run failed: variant ss-lgp, problem f1, seed 12, length 4, population 5 "
                               "(FloatingPointError: injected)")
@@ -195,21 +205,36 @@ def test_a_failing_run_names_itself_and_its_replay(monkeypatch, tmp_path, jobs):
 
 
 def test_variants_share_the_per_run_seed_and_cases():
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     seeds = {}
     for e in report.run_log:
         seeds.setdefault((e["value"], e["run"]), set()).add(e["seed"])
     assert all(len(s) == 1 for s in seeds.values())
 
 
-def test_combine_reports_merges_and_sorts_points():
-    r1 = run_sweep(tiny_spec(problem="f2", values=(4,)))
-    r2 = run_sweep(tiny_spec(problem="f1", values=(4,)))
-    merged = combine_reports([r1, r2])
+def test_a_multi_spec_sweep_merges_and_sorts_points():
+    specs = [tiny_spec(problem="f2", values=(4,)), tiny_spec(problem="f1", values=(4,))]
+    merged = run_sweep(specs)
     assert [(p.variant, p.problem) for p in merged.points] == [
         ("mep", "f1"), ("mep", "f2"), ("sep", "f1"), ("sep", "f2"),
     ]
-    assert len(merged.run_log) == len(r1.run_log) + len(r2.run_log)
+    assert len(merged.run_log) == sum(2 * spec.runs for spec in specs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_two_problem_sweep_equals_its_one_problem_sweeps_merged(jobs):
+    specs = [tiny_spec(problem="f2"), tiny_spec(technique="lgp", problem="f1", runs=3)]
+    merged = run_sweep(specs, jobs)
+    alone = [run_sweep([spec]) for spec in specs]
+    assert merged.points == sorted((p for r in alone for p in r.points),
+                                   key=lambda p: (p.variant, p.problem, p.value))
+    assert merged.run_log == [entry for r in alone for entry in r.run_log]
+
+
+def test_a_multi_spec_sweep_validates_every_spec_before_any_run(monkeypatch):
+    monkeypatch.setattr(harness, "_run_task", lambda task: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="unknown problem 'f9'"):
+        run_sweep([tiny_spec(), tiny_spec(problem="f9")])
 
 
 # --- CSV report ---
@@ -246,13 +271,13 @@ def test_csv_rows_come_out_sorted_and_rates_use_four_decimals():
 
 
 def test_csv_round_trips_through_the_parser():
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     assert parse_csv(emit_csv(report)) == report.points
     assert parse_csv(emit_csv(report).decode()) == report.points
 
 
 def test_csv_and_run_log_files(tmp_path):
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     csv_path = write_csv(report, tmp_path / "sweep.csv")
     assert csv_path.read_bytes() == emit_csv(report)
     log_path = write_run_log(report, tmp_path / "runs.jsonl")
@@ -277,7 +302,7 @@ def flat_report(rate_by_variant, values=(10, 20), problem="f1"):
 
 
 def test_svg_is_deterministic_and_complete():
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     first = render_svg(report, "f1")
     assert first == render_svg(report, "f1")
     assert first.count("<polyline") == 2
@@ -303,7 +328,7 @@ def test_svg_centres_a_single_value_sweep():
 
 
 def test_svg_rejects_unknown_problem_and_mixed_params():
-    report = run_sweep(tiny_spec())
+    report = run_sweep([tiny_spec()])
     with pytest.raises(ValueError):
         render_svg(report, "f4")
     mixed = ExperimentReport(points=[
@@ -315,10 +340,7 @@ def test_svg_rejects_unknown_problem_and_mixed_params():
 
 
 def test_emit_plot_writes_one_file_per_problem(tmp_path):
-    merged = combine_reports([
-        run_sweep(tiny_spec(problem="f1", values=(4,))),
-        run_sweep(tiny_spec(problem="f2", values=(4,))),
-    ])
+    merged = run_sweep([tiny_spec(problem="f1", values=(4,)), tiny_spec(problem="f2", values=(4,))])
     paths = emit_plot(merged, tmp_path)
     assert [p.name for p in paths] == ["f1.svg", "f2.svg"]
     assert paths[0].read_text() == render_svg(merged, "f1")
@@ -349,6 +371,7 @@ def test_preset_specs_honour_overrides():
     assert specs[0].values == (4, 8)
     assert specs[0].runs == 3
     assert specs[0].base_seed == 9
+    assert specs[0].config == EvolutionConfig("mep", 20, population_size=50)
     with pytest.raises(KeyError):
         preset_sweep_specs("mep-exp9")
 
@@ -357,7 +380,7 @@ def test_preset_experiment_report_spans_problems_and_variants():
     def run_preset():
         specs = preset_sweep_specs("mep-exp1", problems=("f1", "f2"),
                                    runs=1, base_seed=5, values=(4,))
-        return combine_reports([run_sweep(spec) for spec in specs])
+        return run_sweep(specs)
 
     report = run_preset()
     assert [(p.variant, p.problem) for p in report.points] == [

@@ -92,12 +92,8 @@ def test_runs_replay_their_fingerprints():
     assert not differing, f"{len(differing)} runs differ, e.g. " + "; ".join(differing[:5])
 
 
-def _sweep_bytes(technique, jobs, out):
-    values = GRID_LENGTHS[technique]
-    spec = SweepSpec(technique=technique, problem="f2", param="chromosome_length",
-                     values=values, runs=2, base_seed=11, population_size=GRID_POPULATION,
-                     generations=GRID_GENERATIONS, jobs=jobs)
-    report = run_sweep(spec)
+def _sweep_bytes(specs, jobs, out):
+    report = run_sweep(specs, jobs)
     out.mkdir()
     return (write_csv(report, out / "report.csv").read_bytes(),
             write_run_log(report, out / "runs.jsonl").read_bytes())
@@ -105,8 +101,13 @@ def _sweep_bytes(technique, jobs, out):
 
 def test_sweep_bytes_do_not_depend_on_the_job_count(tmp_path):
     for technique in ("mep", "lgp", "ifgp"):
-        serial = _sweep_bytes(technique, 1, tmp_path / f"{technique}-1")
-        pooled = _sweep_bytes(technique, 2, tmp_path / f"{technique}-2")
+        config = EvolutionConfig(technique, GRID_LENGTHS[technique][0], population_size=GRID_POPULATION,
+                                 generations=GRID_GENERATIONS)
+        # two problems in one call, so the pool's task list spans two specs
+        specs = [SweepSpec(config, problem, "chromosome_length", GRID_LENGTHS[technique], runs=2, base_seed=11)
+                 for problem in ("f2", "f4")]
+        serial = _sweep_bytes(specs, 1, tmp_path / f"{technique}-1")
+        pooled = _sweep_bytes(specs, 2, tmp_path / f"{technique}-2")
         assert serial == pooled, technique
 
 
