@@ -28,6 +28,7 @@ from .harness import (
     PARAMS,
     PROBLEM_IDS,
     ExperimentReport,
+    RunError,
     SweepSpec,
     emit_plot,
     parse_csv,
@@ -348,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(cfg)
     try:
         return _COMMANDS[cfg.subcommand](cfg)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

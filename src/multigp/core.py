@@ -37,28 +37,6 @@ def reset_ops() -> None:
     _ops_applied = 0
 
 
-def vector_apply(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Apply one binary operator elementwise over aligned case vectors.
-
-    add/sub/mul are plain IEEE double operations; div returns a/b unless
-    ``|b| < DIV_EPSILON``, in which case it returns 1.0.  Non-finite results
-    (overflow) propagate to the caller, which is expected to mark the
-    surrounding row invalid.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        small = np.abs(b) < DIV_EPSILON
-        if small.any():
-            return np.where(small, 1.0, a / np.where(small, 1.0, b))
-        return a / b
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown fitness mode {mode!r} (expected one of {MODES})")
@@ -118,7 +96,10 @@ def recombine(genes1, genes2, takes) -> tuple[tuple, tuple]:
 
 
 def _protected_divide(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    out[...] = vector_apply("div", a, b)
+    """a / b, and 1.0 wherever ``|b| < DIV_EPSILON``."""
+    small = np.abs(b) < DIV_EPSILON
+    np.divide(a, b, out=out)
+    out[small] = 1.0
 
 
 #: each operator as a ufunc called (a, b, out); the plain one divides by anything

@@ -1,6 +1,8 @@
-"""Evolution loops shared by the three encodings: the steady-state scheme used
-by MEP/SEP and IFGP/SS-IFGP, and the tournament-of-four scheme used by the LGP
-variants.  Both track the best individual ever seen outside the population.
+"""The evolution loop shared by the three encodings, run under one of two
+selection schemes: binary-tournament steady state for MEP/SEP and
+IFGP/SS-IFGP, and the tournament of four for the LGP variants.  A scheme
+supplies only how an event picks its parents and where its offspring go; the
+loop tracks the best individual ever seen outside the population.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class EvolutionConfig:
 
 @dataclass
 class Toolbox:
-    """Encoding-specific operations the evolution loops are written against."""
+    """Encoding-specific operations the evolution loop is written against."""
 
     spawn: Callable[[RandomSource], Any]
     crossover: Callable[[Any, Any, RandomSource], tuple[Any, Any]]
@@ -116,64 +118,77 @@ def binary_tournament(fitnesses, rng: RandomSource) -> int:
     return i if fitnesses[i] <= fitnesses[j] else j
 
 
-def _spawn_population(toolbox, cfg, rng):
+def _steady_state(population, fitnesses, rng):
+    # first of tied worst; fitness is never NaN, and only a replacement moves it
+    worst = fitnesses.index(max(fitnesses))
+
+    def select():
+        return binary_tournament(fitnesses, rng), binary_tournament(fitnesses, rng)
+
+    def place(picks, o1, f1, o2, f2, child, child_fit):
+        nonlocal worst
+        if child_fit < fitnesses[worst]:
+            population[worst], fitnesses[worst] = child, child_fit
+            worst = fitnesses.index(max(fitnesses))
+
+    return select, place
+
+
+def _tournament_of_four(population, fitnesses, rng):
+    def select():
+        picks = rng.sample_distinct(len(population), 4)
+        return sorted(picks, key=fitnesses.__getitem__)  # stable: ties keep draw order
+
+    def place(picks, o1, f1, o2, f2, child, child_fit):
+        _, _, loser1, loser2 = picks
+        population[loser1], fitnesses[loser1] = o1, f1
+        population[loser2], fitnesses[loser2] = o2, f2
+
+    return select, place
+
+
+def _evolve(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSource, scheme) -> RunResult:
+    """The one loop: population_size // 2 mating events per generation.
+
+    ``scheme(population, fitnesses, rng)`` gives the scheme's two steps:
+    ``select()`` returns an event's slots, its two parents first, and
+    ``place(picks, o1, f1, o2, f2, child, child_fit)`` puts the offspring
+    into the population, ``child`` being the better one (the first on a tie).
+    """
+    cfg.validate()
     population = [toolbox.spawn(rng) for _ in range(cfg.population_size)]
     fitnesses = [toolbox.evaluate(ind) for ind in population]
-    return population, fitnesses
-
-
-def _offspring(toolbox, cfg, rng, parent1, parent2):
-    if rng.random() < cfg.crossover_probability:
-        o1, o2 = toolbox.crossover(parent1, parent2, rng)
-    else:
-        o1, o2 = parent1, parent2
-    o1 = toolbox.mutate(o1, rng)
-    o2 = toolbox.mutate(o2, rng)
-    return o1, toolbox.evaluate(o1), o2, toolbox.evaluate(o2)
-
-
-def _finish(toolbox, rng, best, best_fit, series, evaluations) -> RunResult:
-    return RunResult(
-        seed=rng.seed,
-        best_per_generation=series,
-        final_fitness=best_fit,
-        success=best_fit < SUCCESS_THRESHOLD,
-        evaluations=evaluations,
-        best_individual=best,
-        expression=toolbox.describe(best),
-    )
+    evaluations = cfg.population_size
+    best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
+    best = population[best_idx]
+    select, place = scheme(population, fitnesses, rng)
+    series = []
+    for _ in range(cfg.generations):
+        for _ in range(cfg.population_size // 2):
+            picks = select()
+            o1, o2 = population[picks[0]], population[picks[1]]
+            if rng.random() < cfg.crossover_probability:
+                o1, o2 = toolbox.crossover(o1, o2, rng)
+            o1, o2 = toolbox.mutate(o1, rng), toolbox.mutate(o2, rng)
+            f1, f2 = toolbox.evaluate(o1), toolbox.evaluate(o2)
+            evaluations += 2
+            child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
+            if child_fit < best_fit:
+                best, best_fit = child, child_fit
+            place(picks, o1, f1, o2, f2, child, child_fit)
+        series.append(best_fit)
+    return RunResult(seed=rng.seed, best_per_generation=series, final_fitness=best_fit,
+                     success=best_fit < SUCCESS_THRESHOLD, evaluations=evaluations,
+                     best_individual=best, expression=toolbox.describe(best))
 
 
 def evolve_steady_state(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSource) -> RunResult:
     """Binary-tournament steady state (MEP/SEP and IFGP/SS-IFGP).
 
-    One generation is population_size // 2 mating events.  Per event the
-    better of the two mutated offspring replaces the current worst individual,
-    but only when strictly better than it.
+    Per event the better of the two mutated offspring replaces the current
+    worst individual, but only when strictly better than it.
     """
-    cfg.validate()
-    population, fitnesses = _spawn_population(toolbox, cfg, rng)
-    evaluations = cfg.population_size
-    best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
-    best = population[best_idx]
-    # first of tied worst; fitness is never NaN, and only a replacement moves it
-    worst = fitnesses.index(max(fitnesses))
-    series = []
-    for _ in range(cfg.generations):
-        for _ in range(cfg.population_size // 2):
-            p1 = binary_tournament(fitnesses, rng)
-            p2 = binary_tournament(fitnesses, rng)
-            o1, f1, o2, f2 = _offspring(toolbox, cfg, rng, population[p1], population[p2])
-            evaluations += 2
-            child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
-            if child_fit < best_fit:
-                best, best_fit = child, child_fit
-            if child_fit < fitnesses[worst]:
-                population[worst] = child
-                fitnesses[worst] = child_fit
-                worst = fitnesses.index(max(fitnesses))
-        series.append(best_fit)
-    return _finish(toolbox, rng, best, best_fit, series, evaluations)
+    return _evolve(toolbox, cfg, rng, _steady_state)
 
 
 def evolve_tournament(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSource) -> RunResult:
@@ -181,29 +196,9 @@ def evolve_tournament(toolbox: Toolbox, cfg: EvolutionConfig, rng: RandomSource)
 
     Four distinct individuals are sampled per event; the best two act as
     parents and their mutated offspring replace the two losers
-    unconditionally.  The best individual ever evaluated is tracked outside
-    the population, so it cannot be lost to a replacement.
+    unconditionally.
     """
-    cfg.validate()
-    population, fitnesses = _spawn_population(toolbox, cfg, rng)
-    evaluations = cfg.population_size
-    best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
-    best = population[best_idx]
-    series = []
-    for _ in range(cfg.generations):
-        for _ in range(cfg.population_size // 2):
-            picks = rng.sample_distinct(cfg.population_size, 4)
-            ranked = sorted(picks, key=fitnesses.__getitem__)  # stable: ties keep draw order
-            parent1, parent2, loser1, loser2 = ranked
-            o1, f1, o2, f2 = _offspring(toolbox, cfg, rng, population[parent1], population[parent2])
-            evaluations += 2
-            contender, contender_fit = (o1, f1) if f1 <= f2 else (o2, f2)
-            if contender_fit < best_fit:
-                best, best_fit = contender, contender_fit
-            population[loser1], fitnesses[loser1] = o1, f1
-            population[loser2], fitnesses[loser2] = o2, f2
-        series.append(best_fit)
-    return _finish(toolbox, rng, best, best_fit, series, evaluations)
+    return _evolve(toolbox, cfg, rng, _tournament_of_four)
 
 
 def run_evolution(cfg: EvolutionConfig, cases: FitnessCaseSet, rng: RandomSource) -> RunResult:

@@ -1,5 +1,6 @@
 """Shared test helpers: a scripted random source, small case-set builders, a
-dataset writer and the store-free oracles the row store is checked against."""
+dataset writer, the operator rule as a reference, and the store-free oracles
+the row store is checked against."""
 
 import csv
 
@@ -80,6 +81,29 @@ def write_cases_csv(cases, path):
 
 
 # --- store-free oracles ---
+
+def vector_apply(op, a, b):
+    """Apply one binary operator elementwise over aligned case vectors, as a
+    reference for the store's block evaluator.
+
+    add/sub/mul are plain IEEE double operations; div returns a/b unless
+    ``|b| < core.DIV_EPSILON``, in which case it returns 1.0.  Non-finite
+    results (overflow) propagate to the caller, which is expected to mark the
+    surrounding row invalid.
+    """
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        small = np.abs(b) < core.DIV_EPSILON
+        if small.any():
+            return np.where(small, 1.0, a / np.where(small, 1.0, b))
+        return a / b
+    raise ValueError(f"unknown operator {op!r}")
+
 
 def evaluate_rows(rows, leaves, cases):
     """Run post-order rows ``(op, a, b)`` once over all cases, with no store.

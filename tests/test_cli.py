@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import multigp
-from multigp import cli
+from multigp import cli, harness
 from multigp.cli import main
 from multigp.harness import CSV_HEADER, ExperimentReport, parse_csv, render_svg
 
@@ -388,6 +388,23 @@ def test_sweep_csv_bytes_are_reproducible(tmp_path):
     stem = "sweep-mep-f1-chromosome_length"
     assert (a / f"{stem}.csv").read_bytes() == (b / f"{stem}.csv").read_bytes()
     assert (a / f"{stem}-f1.svg").read_bytes() == (b / f"{stem}-f1.svg").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    SWEEP_ARGS,
+    ["paper", "mep-exp1", "--runs", "1", "--problems", "f1", "--values", "4"],
+])
+def test_a_failing_run_exits_1_with_the_run_error_and_no_traceback(tmp_path, monkeypatch, capsys, argv):
+    def run(problem, seed, cfg, dataset=None):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(harness, "run", run)
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run failed: variant mep, problem f1, seed ")
+    assert "(FloatingPointError: injected); replay it with: multigp run " in err
+    assert "Traceback" not in err
 
 
 def test_sweep_requires_values(tmp_path, capsys):

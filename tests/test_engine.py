@@ -19,6 +19,7 @@ from multigp.engine import (
     SUCCESS_THRESHOLD,
     TECHNIQUES,
     EvolutionConfig,
+    RunResult,
     Toolbox,
     binary_tournament,
     evolve_steady_state,
@@ -456,12 +457,19 @@ def test_each_ifgp_evaluation_decodes_once_and_applies_its_operator_tokens(monke
     assert any(ops > 0 for _, ops, _ in evaluations)
 
 
-# --- the steady-state loop against a scan for the worst at every event ---
+# --- each loop against a self-contained reference ---
+
+def _reference_result(toolbox, rng, best, best_fit, series, evaluations):
+    return RunResult(seed=rng.seed, best_per_generation=series, final_fitness=best_fit,
+                     success=best_fit < SUCCESS_THRESHOLD, evaluations=evaluations,
+                     best_individual=best, expression=toolbox.describe(best))
+
 
 def scan_every_event(toolbox, cfg, rng):
     """``evolve_steady_state`` as first written: the worst individual is
     looked up anew at every mating event, whether or not one was replaced."""
-    population, fitnesses = engine._spawn_population(toolbox, cfg, rng)
+    population = [toolbox.spawn(rng) for _ in range(cfg.population_size)]
+    fitnesses = [toolbox.evaluate(ind) for ind in population]
     evaluations = cfg.population_size
     best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
     best = population[best_idx]
@@ -470,7 +478,14 @@ def scan_every_event(toolbox, cfg, rng):
         for _ in range(cfg.population_size // 2):
             p1 = binary_tournament(fitnesses, rng)
             p2 = binary_tournament(fitnesses, rng)
-            o1, f1, o2, f2 = engine._offspring(toolbox, cfg, rng, population[p1], population[p2])
+            if rng.random() < cfg.crossover_probability:
+                o1, o2 = toolbox.crossover(population[p1], population[p2], rng)
+            else:
+                o1, o2 = population[p1], population[p2]
+            o1 = toolbox.mutate(o1, rng)
+            o2 = toolbox.mutate(o2, rng)
+            f1 = toolbox.evaluate(o1)
+            f2 = toolbox.evaluate(o2)
             evaluations += 2
             child, child_fit = (o1, f1) if f1 <= f2 else (o2, f2)
             if child_fit < best_fit:
@@ -480,7 +495,39 @@ def scan_every_event(toolbox, cfg, rng):
                 population[worst] = child
                 fitnesses[worst] = child_fit
         series.append(best_fit)
-    return engine._finish(toolbox, rng, best, best_fit, series, evaluations)
+    return _reference_result(toolbox, rng, best, best_fit, series, evaluations)
+
+
+def tournament_of_four(toolbox, cfg, rng):
+    """``evolve_tournament`` as a loop of its own: four distinct slots per
+    event, ranked by a stable sort; the best two mate and their offspring
+    overwrite the other two."""
+    population = [toolbox.spawn(rng) for _ in range(cfg.population_size)]
+    fitnesses = [toolbox.evaluate(ind) for ind in population]
+    evaluations = cfg.population_size
+    best_idx, best_fit = min(enumerate(fitnesses), key=lambda kv: kv[1])
+    best = population[best_idx]
+    series = []
+    for _ in range(cfg.generations):
+        for _ in range(cfg.population_size // 2):
+            picks = rng.sample_distinct(cfg.population_size, 4)
+            parent1, parent2, loser1, loser2 = sorted(picks, key=fitnesses.__getitem__)
+            if rng.random() < cfg.crossover_probability:
+                o1, o2 = toolbox.crossover(population[parent1], population[parent2], rng)
+            else:
+                o1, o2 = population[parent1], population[parent2]
+            o1 = toolbox.mutate(o1, rng)
+            o2 = toolbox.mutate(o2, rng)
+            f1 = toolbox.evaluate(o1)
+            f2 = toolbox.evaluate(o2)
+            evaluations += 2
+            contender, contender_fit = (o1, f1) if f1 <= f2 else (o2, f2)
+            if contender_fit < best_fit:
+                best, best_fit = contender, contender_fit
+            population[loser1], fitnesses[loser1] = o1, f1
+            population[loser2], fitnesses[loser2] = o2, f2
+        series.append(best_fit)
+    return _reference_result(toolbox, rng, best, best_fit, series, evaluations)
 
 
 def tying_toolbox(cfg, cases):
@@ -495,14 +542,20 @@ def tying_toolbox(cfg, cases):
     )
 
 
-@pytest.mark.parametrize("variant", ["mep", "sep", "ifgp", "ss-ifgp", "ties"])
+@pytest.mark.parametrize("variant", ["mep", "sep", "ifgp", "ss-ifgp", "ties",
+                                     "ms-lgp", "ss-lgp", "ties-of-four"])
 def test_steady_state_replaces_the_worst_a_scan_at_every_event_finds(variant):
-    technique, mode = VARIANTS.get(variant, ("mep", "multi"))
-    toolbox = tying_toolbox if variant == "ties" else make_toolbox
+    # the tournament-of-four variants check evolve_tournament the same way
+    technique, mode = VARIANTS.get(variant, ("lgp" if variant == "ties-of-four" else "mep", "multi"))
+    loop, reference = ((evolve_tournament, tournament_of_four) if technique == "lgp"
+                       else (evolve_steady_state, scan_every_event))
+    toolbox = tying_toolbox if variant.startswith("ties") else make_toolbox
     for seed, population in ((81, 2), (82, 5), (83, 12), (84, 31)):
+        if technique == "lgp":
+            population = max(population, 4)
         cases = make_problem(PROBLEM_IDS[seed % 4], RandomSource(seed))
         length = 10 if technique == "ifgp" else 6
         cfg = EvolutionConfig(technique, length, mode, population_size=population, generations=8)
-        got = evolve_steady_state(toolbox(cfg, cases), cfg, RandomSource(seed))
-        want = scan_every_event(toolbox(cfg, cases), cfg, RandomSource(seed))
+        got = loop(toolbox(cfg, cases), cfg, RandomSource(seed))
+        want = reference(toolbox(cfg, cases), cfg, RandomSource(seed))
         assert got == want
