@@ -10,7 +10,7 @@ single-solution reading keeps only the last write to r[0].
 import numpy as np
 
 from multigp import lgp
-from multigp.core import FitnessCaseSet
+from multigp.core import FitnessCaseSet, RowStore
 
 I = lgp.LgpInstruction
 
@@ -28,12 +28,13 @@ print()
 cases = FitnessCaseSet(inputs=np.array([[1.0], [2.0], [3.0]]),
                        targets=np.array([2.0, 6.0, 12.0]))
 
-trace = lgp.execute(prog, cases)
-errors = trace.errors
-for i in range(len(prog)):
-    values = ", ".join(f"{v:g}" for v in trace.written[i])
-    print(f"after instruction {i + 1}: r[{trace.dests[i]}] = [{values}]"
-          f"  error {errors[i]:g}")
+# the program lowers into a row store, one row per instruction
+store = RowStore(cases)
+rows = store.table(lgp.execute(prog, cases, store)[0])
+for i, ins in enumerate(prog.instructions):
+    values = ", ".join(f"{v:g}" for v in rows.values[i])
+    print(f"after instruction {i + 1}: r[{ins.dest}] = [{values}]"
+          f"  error {rows.errors[i]:g}")
 
 fit, idx = lgp.fitness(prog, cases, "multi")
 print(f"\nmulti reading:  instruction {idx + 1} wins with error {fit:g}")

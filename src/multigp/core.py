@@ -10,6 +10,7 @@ import csv
 import struct
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -153,6 +154,9 @@ ROW_STORE_BYTES = 320 * 1024
 
 _bits = struct.Struct("<d").pack
 
+#: the cone of a call that computes every row
+EVERY_ROW = repeat(True)
+
 
 class RowStore:
     """The rows of one run over one case set, each distinct row computed once.
@@ -229,33 +233,39 @@ class RowStore:
             self.computed_rows += len(new) - len(fresh)  # a scalar leaf is no operation
         return self._errors
 
-    def intern(self, rows) -> list[int]:
+    def intern(self, rows, cone: list[bool] | None = None) -> list[int | None]:
         """Ids of the post-order rows ``(op, a, b)``, the new ones computed; a
-        leaf row ``(None, k, 0)`` is case input k."""
+        leaf row ``(None, k, 0)`` is case input k.
+
+        ``cone`` masks the rows to compute and must mark every operand of a
+        marked row.  An operation row outside it gets id None and is neither
+        interned nor computed, but it is counted all the same.
+        """
         start = self.reserve(len(rows))
         ids, input_ids = self.ids, self.input_ids
         new: list[tuple] = []
-        local: list[int] = []
+        local: list[int | None] = []
         leaf_rows = 0
-        for op, a, b in rows:
+        for (op, a, b), inside in zip(rows, cone or EVERY_ROW):
             if op is None:
                 leaf_rows += 1
                 i = input_ids[a]
-            else:
+            elif inside:
                 key = (op, local[a], local[b])
                 i = ids.get(key)
                 if i is None:
                     i = ids[key] = start + len(new)
                     new.append(key)
+            else:
+                i = None
             local.append(i)
         self.commit(start, new, (), len(rows) - leaf_rows)
         return local
 
-    def errors(self, rows) -> list[float]:
-        """Error of each of the post-order rows, as a list."""
-        ids = self.intern(rows)
-        errors = self._errors
-        return [errors[i] for i in ids]
+    @property
+    def errors(self) -> list[float]:
+        """Every row's error, by id."""
+        return self._errors
 
     def table(self, ids: list[int]) -> RowTable:
         """The rows ``ids``, copied out of the store."""

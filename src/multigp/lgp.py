@@ -8,17 +8,16 @@ execution cost beyond the single forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (
+    EVERY_ROW,
     OP_SYMBOLS,
     FitnessCaseSet,
     PrimitiveSet,
     RandomSource,
     RowStore,
-    RowTable,
     best,
     check_mode,
     recombine,
@@ -57,40 +56,6 @@ class LgpProgram:
         return len(self.instructions)
 
 
-@dataclass
-class LgpTrace:
-    """One execution's rows, copied out of the store it lowered into: a leaf
-    row per register's initial value and per constant operand, then one row
-    per instruction in program order."""
-
-    table: RowTable
-    program: LgpProgram
-    output: int  # row holding r[0] once the program has run
-
-    @property
-    def dests(self) -> tuple[int, ...]:
-        """Destination register of each instruction."""
-        return tuple(ins.dest for ins in self.program.instructions)
-
-    @property
-    def first(self) -> int:
-        """Row of the first instruction."""
-        return len(self.table.errors) - len(self.program)
-
-    @property
-    def written(self) -> np.ndarray:
-        """(L, n) value written by each instruction."""
-        return self.table.values[self.first:]
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.table.valid[self.first:]
-
-    @property
-    def errors(self) -> np.ndarray:
-        return self.table.errors[self.first:]
-
-
 def _random_operand(num_registers, rng, constant_rate, constant_range):
     if constant_rate > 0.0 and rng.random() < constant_rate:
         return rng.uniform(*constant_range)
@@ -121,63 +86,69 @@ def random_program(
     return LgpProgram(tuple(instructions), num_registers, num_inputs)
 
 
-def execute(prog: LgpProgram, cases: FitnessCaseSet,
-            store: RowStore | None = None) -> LgpTrace | tuple[list[float], float]:
-    """Run the program once over all cases, recording every destination write.
+def execute(prog: LgpProgram, cases: FitnessCaseSet, store: RowStore,
+            cone: list[bool] | None = None) -> tuple[list[int], int]:
+    """Run the program once over all cases, recording each destination write.
 
     Input registers start from the case inputs, supplementary registers from
     ``REGISTER_INIT``.  Each operand reads the row that last wrote its
     register, so a record is valid only if its value is finite and no
     non-finite value entered its computation through the data flow.
 
-    The program lowers straight into a row store: ``last[r]`` is the id of
+    The program lowers straight into the row store: ``last[r]`` is the id of
     register r's current row, and each instruction interns ``(op, last[src1],
-    last[src2])``.  Through a run's ``store``, the errors of the instruction
-    rows come back, with the error of r[0]'s final row.  Without one, the
-    rows of a fresh store sized to the program are copied out as a trace.
+    last[src2])``.  Returns the store ids of the instructions' rows, in
+    program order, and of r[0]'s final row.  Given a ``cone`` mask, only its
+    instructions are interned, computed and given an id; the store counts
+    every instruction all the same.
     """
     if prog.num_inputs > cases.num_inputs:
         raise ValueError("program expects more inputs than the case set provides")
     registers, inputs = prog.num_registers, prog.num_inputs
-    count = registers + 3 * len(prog.instructions)  # the most rows one call adds
-    traced = store is None
-    if traced:
-        store = RowStore(cases, 0)
-    start = store.reserve(count)
+    start = store.reserve(registers + 3 * len(prog.instructions))  # the most rows one call adds
     ids, scalar = store.ids, store.scalar
     new: list[tuple] = []
     fresh: list = []
-    initial = list(range(inputs))  # case input k is the store's row k
+    last = list(range(inputs))  # case input k is the store's row k
     if registers > inputs:
-        initial += [scalar(REGISTER_INIT, start, new, fresh)] * (registers - inputs)
-    last = initial.copy()
-    constants: list[int] = []
+        last += [scalar(REGISTER_INIT, start, new, fresh)] * (registers - inputs)
     local: list[int] = []
-    for dest, op, a, b in prog.instructions:
+    for dest, op, a, b in compress(prog.instructions, cone or EVERY_ROW):
         try:
             key = (op, last[a], last[b])
         except TypeError:  # a constant operand, a scalar leaf
-            operands = []
-            for src in (a, b):
-                if type(src) is int:
-                    operands.append(last[src])
-                else:
-                    constants.append(scalar(src, start, new, fresh))
-                    operands.append(constants[-1])
-            key = (op, *operands)
+            key = (op, *[last[src] if type(src) is int else scalar(src, start, new, fresh)
+                         for src in (a, b)])
         i = ids.get(key)
         if i is None:
             i = ids[key] = start + len(new)
             new.append(key)
         last[dest] = i
         local.append(i)
-    errors = store.commit(start, new, fresh, len(local))
-    if not traced:
-        return [errors[i] for i in local], errors[last[0]]
-    locus = _output_locus(prog)
-    first = registers + len(constants)
-    return LgpTrace(store.table([*initial, *constants, *local]), prog,
-                    0 if locus == INITIAL_R0 else first + locus)
+    store.commit(start, new, fresh, len(prog.instructions))
+    return local, last[0]
+
+
+def cone(prog: LgpProgram) -> list[bool]:
+    """Per-instruction mask of the dependency cone of r[0]'s final value, the
+    instructions the single reading reads: a liveness pass backward from
+    r[0]'s last write, empty when no instruction writes r[0].  The
+    instructions outside it are structural introns (Brameier & Banzhaf,
+    *Linear Genetic Programming*, 2007, ch. 3)."""
+    live = [False] * prog.num_registers  # whose current value a marked instruction reads
+    live[0] = True
+    marked = []
+    for dest, _, a, b in reversed(prog.instructions):
+        hit = live[dest]
+        marked.append(hit)
+        if hit:
+            live[dest] = False
+            if type(a) is int:
+                live[a] = True
+            if type(b) is int:
+                live[b] = True
+    marked.reverse()
+    return marked
 
 
 def _output_locus(prog: LgpProgram) -> int:
@@ -194,14 +165,17 @@ def fitness(prog: LgpProgram, cases: FitnessCaseSet, mode: str = "multi",
     """Program fitness plus the trace index that provided it.
 
     single: error of r[0]'s final content (``INITIAL_R0`` if no instruction
-    ever wrote r[0], in which case the register still holds the case input).
-    multi: minimum error over every destination write in the trace.
+    ever wrote r[0], in which case the register still holds the case input),
+    which computes just the instructions in its cone.  multi: minimum error
+    over every destination write in the trace.
     """
     check_mode(mode)
-    errors, output = execute(prog, cases, store or RowStore(cases, 0))
+    store = store or RowStore(cases, 0)
     if mode == "single":
-        return output, _output_locus(prog)
-    return best(errors)
+        return store.errors[execute(prog, cases, store, cone(prog))[1]], _output_locus(prog)
+    ids = execute(prog, cases, store)[0]
+    errors = store.errors
+    return best([errors[i] for i in ids])
 
 
 def crossover_uniform(p1: LgpProgram, p2: LgpProgram, rng: RandomSource) -> tuple[LgpProgram, LgpProgram]:

@@ -71,19 +71,36 @@ def random_chromosome(length: int, prims: PrimitiveSet, rng: RandomSource) -> Me
     return MepChromosome(tuple(_random_gene(i, prims, rng) for i in range(length)))
 
 
-def decode(chrom: MepChromosome, cases: FitnessCaseSet, store: RowStore | None = None) -> RowTable | list[float]:
+def decode(chrom: MepChromosome, cases: FitnessCaseSet, store: RowStore | None = None,
+           cone: list[bool] | None = None) -> RowTable | list[int | None]:
     """Evaluate every encoded expression in a single top-down pass.
 
     Row i holds E_i's outputs over all cases.  A row is valid only if its
     whole dependency cone stayed finite; invalidity propagates to every
-    expression built on top of it.  Through a run's ``store``, only the
-    rows' errors come back, as a list; without one, the rows of a fresh
-    store sized to the chromosome come back as a table.
+    expression built on top of it.  Through a run's ``store``, the rows'
+    store ids come back, and given a ``cone`` mask only its function genes
+    are computed (the others' ids are None); without a store, the rows of a
+    fresh store sized to the chromosome come back as a table.
     """
     if store is not None:
-        return store.errors(chrom.genes)
+        return store.intern(chrom.genes, cone)
     store = RowStore(cases, 0)
     return store.table(store.intern(chrom.genes))
+
+
+def cone(chrom: MepChromosome) -> list[bool]:
+    """Per-gene mask of the last gene's dependency cone, the genes the single
+    reading reads, in one backward pass.  The genes outside it are structural
+    introns (Brameier & Banzhaf, *Linear Genetic Programming*, 2007, ch. 3)."""
+    genes = chrom.genes
+    marked = [False] * len(genes)
+    marked[-1] = True
+    for j in range(len(genes) - 1, -1, -1):
+        if marked[j]:
+            op, a, b = genes[j]
+            if op is not None:
+                marked[a] = marked[b] = True
+    return marked
 
 
 def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi",
@@ -91,13 +108,16 @@ def fitness(chrom: MepChromosome, cases: FitnessCaseSet, mode: str = "multi",
     """Chromosome fitness and the gene index that provided it.
 
     multi: minimum error over all encoded expressions (ties to the lowest
-    gene index).  single: the last gene's expression only, as in SEP.
+    gene index).  single: the last gene's expression only, as in SEP, which
+    computes just that gene's cone.
     """
     check_mode(mode)
-    errors = decode(chrom, cases, store or RowStore(cases, 0))
+    store = store or RowStore(cases, 0)
     if mode == "single":
-        return errors[-1], len(chrom) - 1
-    return best(errors)
+        return store.errors[decode(chrom, cases, store, cone(chrom))[-1]], len(chrom) - 1
+    ids = decode(chrom, cases, store)
+    errors = store.errors
+    return best([errors[i] for i in ids])
 
 
 def crossover_uniform(p1: MepChromosome, p2: MepChromosome, rng: RandomSource) -> tuple[MepChromosome, MepChromosome]:

@@ -1,8 +1,9 @@
 """Shared test helpers: a scripted random source, small case-set builders, a
-dataset writer, the operator rule as a reference, and the store-free oracles
-the row store is checked against."""
+dataset writer, the operator rule as a reference, an LGP execution's rows as
+a trace, and the store-free oracles the row store is checked against."""
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -80,6 +81,60 @@ def write_cases_csv(cases, path):
             writer.writerow([f"{x:.17g}", f"{t:.17g}"])
 
 
+# --- an LGP execution's rows ---
+
+@dataclass
+class LgpTrace:
+    """One execution's rows, copied out of the store it lowered into: a leaf
+    row per register's initial value and per constant operand, then one row
+    per instruction in program order."""
+
+    table: RowTable
+    program: lgp.LgpProgram
+    output: int  # row holding r[0] once the program has run
+
+    @property
+    def dests(self) -> tuple[int, ...]:
+        """Destination register of each instruction."""
+        return tuple(ins.dest for ins in self.program.instructions)
+
+    @property
+    def first(self) -> int:
+        """Row of the first instruction."""
+        return len(self.table.errors) - len(self.program)
+
+    @property
+    def written(self) -> np.ndarray:
+        """(L, n) value written by each instruction."""
+        return self.table.values[self.first:]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.table.valid[self.first:]
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.table.errors[self.first:]
+
+
+def trace_execution(prog, cases):
+    """``lgp.execute`` through a fresh store of budget 0, its rows copied out."""
+    store = core.RowStore(cases, 0)
+    ids, _ = lgp.execute(prog, cases, store)
+
+    def scalar(value):
+        return store.ids[core._bits(value)]
+
+    initial = [*range(prog.num_inputs),
+               *[scalar(lgp.REGISTER_INIT) for _ in range(prog.num_registers - prog.num_inputs)]]
+    constants = [scalar(src) for ins in prog.instructions for src in (ins.src1, ins.src2)
+                 if type(src) is not int]
+    first = len(initial) + len(constants)
+    writes = [j for j, ins in enumerate(prog.instructions) if ins.dest == 0]
+    return LgpTrace(store.table([*initial, *constants, *ids]), prog,
+                    first + writes[-1] if writes else 0)
+
+
 # --- store-free oracles ---
 
 def vector_apply(op, a, b):
@@ -103,6 +158,12 @@ def vector_apply(op, a, b):
             return np.where(small, 1.0, a / np.where(small, 1.0, b))
         return a / b
     raise ValueError(f"unknown operator {op!r}")
+
+
+def store_errors(store, rows):
+    """Error of each of the post-order rows, interned into ``store``."""
+    errors = store.errors
+    return [errors[i] for i in store.intern(rows)]
 
 
 def evaluate_rows(rows, leaves, cases):
@@ -155,6 +216,21 @@ def ssa_rows(prog):
     rows += [(op, row(a), row(b)) for op, a, b in body]
     scalars = [lgp.REGISTER_INIT] * (registers - prog.num_inputs) + constants
     return rows, scalars, row(last[0])
+
+
+def reachable(rows, root):
+    """Mask of the post-order rows that row ``root`` reads, itself included:
+    a depth-first search over the operands."""
+    marked = [False] * len(rows)
+    todo = [root]
+    while todo:
+        j = todo.pop()
+        if not marked[j]:
+            marked[j] = True
+            op, a, b = rows[j]
+            if op is not None:
+                todo += [a, b]
+    return marked
 
 
 def reference_execute(prog, cases):

@@ -360,11 +360,13 @@ class CountingStore(RowStore):
 
 # the store-free fitness is conftest.reference_fitness: evaluate_rows over
 # the chromosome's rows (LGP's in SSA form), with no store at all.  Budgets:
-# the usual size; 24 rows of 20 cases, so the store starts over every few
+# the usual size; 24 rows of 20 cases (16 for sep, whose cone-only
+# evaluations add fewer rows), so the store starts over every few
 # evaluations; and less than one chromosome's rows, so it grows to one
 # chromosome and starts over on nearly every evaluation
-@pytest.mark.parametrize("budget", [ROW_STORE_BYTES, 24 * 8 * 20, 0])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant, budget", [
+    (variant, budget) for variant in VARIANTS
+    for budget in (ROW_STORE_BYTES, (16 if variant == "sep" else 24) * 8 * 20, 0)])
 def test_every_evaluation_through_the_store_matches_the_store_free_fitness(monkeypatch, variant, budget):
     technique, mode = VARIANTS[variant]
     monkeypatch.setattr(CountingStore, "clears", 0)
@@ -393,6 +395,50 @@ def test_every_evaluation_through_the_store_matches_the_store_free_fitness(monke
         run_evolution(cfg, cases, rng)
     assert len(checked) == 2 * (12 + 10 * 12)
     assert (CountingStore.clears > 50) is (budget < ROW_STORE_BYTES)
+
+
+# --- a single reading's cone against the full evaluation ---
+
+def _full_single(technique, chrom, cases, store):
+    """The single reading with every row computed: (error, locus)."""
+    if technique == "mep":
+        return store.errors[mep.decode(chrom, cases, store)[-1]], len(chrom) - 1
+    writes = [j for j, ins in enumerate(chrom.instructions) if ins.dest == 0]
+    output = lgp.execute(chrom, cases, store)[1]
+    return store.errors[output], writes[-1] if writes else lgp.INITIAL_R0
+
+
+@pytest.mark.parametrize("variant", ["sep", "ss-lgp"])
+def test_cone_only_evaluation_matches_the_full_evaluation_over_whole_runs(monkeypatch, variant):
+    # the run's store computes only each single reading's cone; a second
+    # store, fed the same chromosomes, computes every row
+    technique, mode = VARIANTS[variant]
+    checked = []
+
+    def checked_toolbox(cfg, cases):
+        box = make_toolbox(cfg, cases)
+        full_store = RowStore(cases)
+
+        def evaluate(chrom):
+            ops0 = ops_applied()
+            got = box.evaluate(chrom)
+            ops1 = ops_applied()
+            want, locus = _full_single(technique, chrom, cases, full_store)
+            assert got.hex() == want.hex()
+            assert ops1 - ops0 == ops_applied() - ops1 > 0
+            fitness = mep.fitness if technique == "mep" else lgp.fitness
+            assert fitness(chrom, cases, mode) == (got, locus)
+            checked.append(got)
+            return got
+
+        return dataclasses.replace(box, evaluate=evaluate)
+
+    monkeypatch.setattr(engine, "make_toolbox", checked_toolbox)
+    for seed, problem in ((61, "f1"), (62, "f2"), (63, "f3"), (64, "f4")):
+        rng = RandomSource(seed)
+        cases = make_problem(problem, rng)
+        run_evolution(EvolutionConfig(technique, 20, mode, population_size=20, generations=12), cases, rng)
+    assert len(checked) == 4 * (20 + 12 * 20)
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -542,6 +588,16 @@ def tying_toolbox(cfg, cases):
     )
 
 
+def recording(box, evaluated):
+    """``box`` with every evaluation appended to ``evaluated`` as
+    (individual, fitness)."""
+    def evaluate(ind):
+        fit = box.evaluate(ind)
+        evaluated.append((ind, fit))
+        return fit
+    return dataclasses.replace(box, evaluate=evaluate)
+
+
 @pytest.mark.parametrize("variant", ["mep", "sep", "ifgp", "ss-ifgp", "ties",
                                      "ms-lgp", "ss-lgp", "ties-of-four"])
 def test_steady_state_replaces_the_worst_a_scan_at_every_event_finds(variant):
@@ -556,6 +612,10 @@ def test_steady_state_replaces_the_worst_a_scan_at_every_event_finds(variant):
         cases = make_problem(PROBLEM_IDS[seed % 4], RandomSource(seed))
         length = 10 if technique == "ifgp" else 6
         cfg = EvolutionConfig(technique, length, mode, population_size=population, generations=8)
-        got = loop(toolbox(cfg, cases), cfg, RandomSource(seed))
-        want = reference(toolbox(cfg, cases), cfg, RandomSource(seed))
+        # every evaluation, in order: a placement that keeps a different
+        # individual changes the later parents even where the result ties
+        got_evaluated, want_evaluated = [], []
+        got = loop(recording(toolbox(cfg, cases), got_evaluated), cfg, RandomSource(seed))
+        want = reference(recording(toolbox(cfg, cases), want_evaluated), cfg, RandomSource(seed))
         assert got == want
+        assert got_evaluated == want_evaluated

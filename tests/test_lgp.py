@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigp import lgp
@@ -26,6 +26,7 @@ from multigp.lgp import (
     SUPPLEMENTARY_REGISTERS,
     LgpInstruction,
     LgpProgram,
+    cone,
     crossover_uniform,
     execute,
     fitness,
@@ -34,7 +35,7 @@ from multigp.lgp import (
     render,
 )
 
-from conftest import StubRandom, make_cases, reference_execute
+from conftest import StubRandom, make_cases, reachable, reference_execute, ssa_rows, trace_execution
 
 X = PrimitiveSet.for_inputs(1)
 
@@ -165,7 +166,7 @@ def test_random_program_constants_appear_only_when_enabled():
 def test_sample_trace_values_by_hand():
     # r[0] = x, r[1..7] start at 1; constants 6 and 7 appear literally
     cases = make_cases([[5.0]], [0.0])
-    trace = execute(TRACE_SAMPLE, cases)
+    trace = trace_execution(TRACE_SAMPLE, cases)
     assert list(trace.dests) == [5, 3, 0, 6, 1, 2]
     assert [v[0] for v in trace.written] == [1.0, 7.0, 1.0, 0.0, 0.0, 7.0]
     assert trace.valid.all()
@@ -173,8 +174,8 @@ def test_sample_trace_values_by_hand():
 
 def test_sample_trace_is_input_independent():
     # nothing in the sample reads r[0], so any input gives the same trace
-    a = execute(TRACE_SAMPLE, make_cases([[5.0]], [0.0]))
-    b = execute(TRACE_SAMPLE, make_cases([[-3.5]], [0.0]))
+    a = trace_execution(TRACE_SAMPLE, make_cases([[5.0]], [0.0]))
+    b = trace_execution(TRACE_SAMPLE, make_cases([[-3.5]], [0.0]))
     assert np.array_equal(a.written, b.written)
 
 
@@ -187,7 +188,7 @@ def test_execute_matches_prefix_reexecution_oracle():
         )
         # every other program mixes constant operands into the registers
         prog = random_program(1 + rng.randint(12), 5, 1, X, rng, constant_rate=0.3 * (trial % 2))
-        trace = execute(prog, cases)
+        trace = trace_execution(prog, cases)
         for i in range(len(prog)):
             for k in range(cases.n):
                 v, ok = run_prefix(prog, i, cases.inputs[k])
@@ -263,18 +264,23 @@ def test_execute_lowers_into_the_store_as_the_ssa_rows_evaluate(sequence):
             want_errors = table.errors.tolist()
             first = len(want_errors) - len(prog)
             reset_ops()
-            trace = execute(prog, cases)
+            trace = trace_execution(prog, cases)
             assert ops_applied() == ops
             assert trace.table.values.tobytes() == table.values.tobytes()
             assert trace.table.valid.tobytes() == table.valid.tobytes()
             assert trace.table.errors.tobytes() == table.errors.tobytes()
             assert (trace.first, trace.output) == (first, output)
+            # every instruction, then only those in r[0]'s cone
             for store in stores:
-                reset_ops()
-                errors, output_error = execute(prog, cases, store)
-                assert ops_applied() == ops
-                assert _bits(errors) == table.errors[first:].tobytes()
-                assert _bits([output_error]) == _bits([want_errors[output]])
+                for mask in (None, cone(prog)):
+                    marked = [True] * len(prog) if mask is None else mask
+                    reset_ops()
+                    ids, output_id = execute(prog, cases, store, mask)
+                    assert ops_applied() == ops
+                    errors = store.errors
+                    assert _bits([errors[i] for i in ids]) == _bits(
+                        [e for e, m in zip(want_errors[first:], marked) if m])
+                    assert _bits([errors[output_id]]) == _bits([want_errors[output]])
             want = {"multi": best(want_errors[first:]),
                     "single": (want_errors[output], output - first if output >= first else INITIAL_R0)}
             for store in [None, *stores]:
@@ -286,6 +292,32 @@ def test_execute_lowers_into_the_store_as_the_ssa_rows_evaluate(sequence):
             reset_ops()
 
 
+@st.composite
+def _programs(draw):
+    """A random program over one or two inputs, with constant operands and,
+    half the time, no write to r[0]."""
+    inputs = draw(st.integers(1, 2))
+    registers = inputs + SUPPLEMENTARY_REGISTERS
+    register = st.integers(0, registers - 1)
+    dest = register if draw(st.booleans()) else st.integers(1, registers - 1)
+    operand = st.one_of(register, register, st.floats(-10.0, 10.0))
+    instruction = st.builds(I, dest, st.sampled_from(OPERATORS), operand, operand)
+    return program(*draw(st.lists(instruction, min_size=1, max_size=30)),
+                   registers=registers, inputs=inputs)
+
+
+@given(_programs())
+@example(program(I(1, "add", 0, 2.5), I(2, "mul", 1, 1), registers=6, inputs=2))  # r[0] never written
+@example(program(I(0, "div", 1, 0.5), I(3, "sub", 0, 2), I(0, "add", 0, 2), I(1, "add", 0, 0),
+                 registers=6, inputs=2))
+@settings(max_examples=300, deadline=None)
+def test_cone_marks_the_instructions_r0s_final_value_reaches(prog):
+    # the SSA rows' reachability from r[0]'s final row, over the instruction rows
+    rows, _, output = ssa_rows(prog)
+    first = len(rows) - len(prog)
+    assert cone(prog) == reachable(rows, output)[first:]
+
+
 def test_register_taint_propagates_through_data_flow():
     huge = 1e308
     cases = make_cases([[huge]], [0.0])
@@ -295,7 +327,7 @@ def test_register_taint_propagates_through_data_flow():
         I(3, "add", 4, 4),   # untouched by the taint
         registers=5,
     )
-    trace = execute(prog, cases)
+    trace = trace_execution(prog, cases)
     assert list(trace.valid) == [False, False, True]
     errs = trace.errors
     assert math.isinf(errs[0]) and math.isinf(errs[1])
@@ -305,7 +337,7 @@ def test_register_taint_propagates_through_data_flow():
 def test_constant_operands_never_taint():
     cases = make_cases([[2.0]], [0.0])
     prog = program(I(1, "div", 0, math.inf), I(2, "mul", 0, math.inf), registers=3)
-    trace = execute(prog, cases)
+    trace = trace_execution(prog, cases)
     # x / inf = 0 is finite and valid; x * inf is invalid by its own value
     assert list(trace.valid) == [True, False]
     assert fitness(prog, cases, "multi") == (0.0, 0)
@@ -314,7 +346,7 @@ def test_constant_operands_never_taint():
 def test_execute_rejects_missing_inputs():
     cases = make_cases([[1.0]], [1.0])
     with pytest.raises(ValueError):
-        execute(LgpProgram((I(0, "add", 0, 0),), 6, 2), cases)
+        execute(LgpProgram((I(0, "add", 0, 0),), 6, 2), cases, RowStore(cases))
 
 
 # --- fitness modes ---
@@ -326,7 +358,7 @@ def test_single_mode_reads_last_write_to_r0(five_cases):
         I(2, "add", 0, 1),
         registers=3,
     )
-    trace = execute(prog, five_cases)
+    trace = trace_execution(prog, five_cases)
     errs = trace.errors
     got, idx = fitness(prog, five_cases, "single")
     assert idx == 1

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multigp import mep
-from multigp.core import PrimitiveSet, RandomSource, ops_applied, recombine, reset_ops
+from multigp.core import PrimitiveSet, RandomSource, RowStore, ops_applied, recombine, reset_ops
 from multigp.mep import (
     MepChromosome,
     MepGene,
+    cone,
     crossover_uniform,
     decode,
     expression,
@@ -17,7 +20,7 @@ from multigp.mep import (
     render,
 )
 
-from conftest import StubRandom, make_cases
+from conftest import StubRandom, make_cases, reachable
 
 ABCD = PrimitiveSet(terminals=("a", "b", "c", "d"))
 X = PrimitiveSet.for_inputs(1)
@@ -203,6 +206,30 @@ def test_division_by_zero_is_protected_not_tainted():
 
 # --- fitness modes ---
 
+@st.composite
+def _chromosomes(draw):
+    """A random chromosome over one or two inputs, half the time ending in a
+    terminal gene."""
+    inputs = draw(st.integers(1, 2))
+    terminal = st.builds(T, st.integers(0, inputs - 1))
+    genes = [draw(terminal)]
+    for position in range(1, draw(st.integers(1, 30))):
+        backward = st.integers(0, position - 1)
+        genes.append(draw(st.one_of(terminal, st.builds(F, st.sampled_from(X.functions),
+                                                        backward, backward))))
+    if len(genes) > 1 and draw(st.booleans()):
+        genes[-1] = draw(terminal)
+    return chromosome(*genes)
+
+
+@given(_chromosomes())
+@example(chromosome(T(0), T(1), F("add", 0, 1), T(1)))  # a terminal last gene
+@example(chromosome(T(1), F("mul", 0, 0), T(0), F("sub", 1, 1), F("div", 3, 0)))
+@settings(max_examples=300, deadline=None)
+def test_cone_marks_the_genes_the_last_gene_reaches(chrom):
+    assert cone(chrom) == reachable(chrom.genes, len(chrom) - 1)
+
+
 def test_multi_fitness_equals_brute_force_min_exactly(five_cases):
     rng = RandomSource(99)
     for trial in range(300):
@@ -370,3 +397,26 @@ def test_decode_cost_independent_of_fitness_mode(five_cases):
     assert multi_cost == single_cost
     functions = sum(not g.is_terminal for g in chrom.genes)
     assert multi_cost == functions * five_cases.n
+
+
+def test_cone_only_decode_through_a_shared_store_matches_the_table():
+    # cone-only and full decodes share one store, and a budget-0 store
+    # starts over on every call; either way the cone's rows carry the
+    # table's bits and every function gene is counted
+    rng = RandomSource(17)
+    cases = make_cases([[v] for v in np.linspace(-2.0, 2.0, 7)], np.linspace(0.0, 3.0, 7).tolist())
+    stores = [RowStore(cases), RowStore(cases, 0)]
+    for trial in range(60):
+        chrom = random_chromosome(1 + trial % 20, X, rng)
+        table = decode(chrom, cases)
+        functions = sum(not g.is_terminal for g in chrom.genes)
+        for store in stores:
+            for mask in (cone(chrom), None):
+                reset_ops()
+                ids = decode(chrom, cases, store, mask)
+                assert ops_applied() == functions * cases.n
+                marked = [True] * len(chrom) if mask is None else mask
+                # a terminal is its case input's row, in the cone or not
+                assert [i is not None for i in ids] == [m or g.is_terminal for m, g in zip(marked, chrom.genes)]
+                got = [store.errors[i] for i, m in zip(ids, marked) if m]
+                assert np.array(got).tobytes() == table.errors[np.array(marked)].tobytes()
